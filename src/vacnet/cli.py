@@ -26,7 +26,7 @@ EXIT_RUNTIME = 3
 EXIT_INFEASIBLE = 4
 
 CONFIG_ERRORS = (ParseError, ConfigError, ShapeError, FileNotFoundError,
-                 IsADirectoryError, KeyError, json.JSONDecodeError)
+                 IsADirectoryError, KeyError, json.JSONDecodeError, UnicodeDecodeError)
 RUNTIME_ERRORS = (DivergenceError, FormatError, DataFormatError, IntegrityError,
                   OSError)
 
@@ -113,9 +113,12 @@ def cmd_count(args):
 
 def cmd_compare(args):
     with open(args.csv, newline="") as fh:
-        rows = [complexity.ModelRow(r["name"], float(r["params"]),
-                                    float(r["mult_adds"]), int(r["bits"]))
-                for r in csv.DictReader(fh)]
+        try:
+            rows = [complexity.ModelRow(r["name"], float(r["params"]),
+                                        float(r["mult_adds"]), int(r["bits"]))
+                    for r in csv.DictReader(fh)]
+        except (ValueError, TypeError) as e:  # TypeError: a row missing cells
+            raise ConfigError(f"{args.csv}: {e}") from e
     entries = complexity.compare(rows)
     print(complexity.compare_to_text(entries))
     print()

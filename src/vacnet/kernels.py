@@ -84,10 +84,6 @@ class ConvSpec:
         return self.c_out * (self.c_in // self.groups) * kh * kw + self.c_out
 
 
-def pointwise_spec(c_in, c_out):
-    return ConvSpec(c_in, c_out)
-
-
 def _windows(xp, oh, ow, kernel, stride):
     """Strided sliding-window view (n, c, oh, ow, kh, kw) over a padded input."""
     n, c, _, _ = xp.shape
@@ -106,18 +102,20 @@ def _pad(x, padding):
     return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
 
 
-def _im2col(xp, spec, n, oh, ow):
-    """Group-major patch matrix (g, n*oh*ow, (c_in/g)*kh*kw), contiguous so the
-    convolution contractions run through BLAS matmul instead of einsum."""
-    g = spec.groups
-    cg = spec.c_in // g
-    kh, kw = spec.kernel
-    win = _windows(xp, oh, ow, spec.kernel, spec.stride)
-    win = win.reshape(n, g, cg, oh, ow, kh, kw).transpose(1, 0, 3, 4, 2, 5, 6)
-    return np.ascontiguousarray(win).reshape(g, n * oh * ow, cg * kh * kw)
+def _im2col(x, spec, oh, ow):
+    """Channel-major, per-image patch matrix (n, g, (c_in/g)*kh*kw, oh*ow).
+
+    Row (c, i, j) of group g is input channel g*(c_in/g) + c at tap (i, j), so
+    W.reshape(g, og, -1) @ cols is NCHW already. A 1x1/s1/p0 conv on a
+    contiguous input needs no copy: the reshape is a view of x.
+    """
+    win = _windows(_pad(x, spec.padding), oh, ow, spec.kernel, spec.stride)
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(x.shape[0], spec.groups, -1, oh * ow)
 
 
 def conv2d_forward(x, weights, bias, spec):
+    """Every conv kind (dense, grouped, depthwise, pointwise) is one batched
+    matmul of the group weights (g, og, (c_in/g)*kh*kw) with the _im2col patches."""
     x = np.asarray(x)
     weights = np.asarray(weights)
     bias = np.asarray(bias)
@@ -129,18 +127,16 @@ def conv2d_forward(x, weights, bias, spec):
         raise ShapeError(f"bias shape {bias.shape}, expected ({spec.c_out},)")
     n, _, h, w = x.shape
     oh, ow = spec.out_hw(h, w)
-    g = spec.groups
-    og = spec.c_out // g
-    cols = _im2col(_pad(x, spec.padding), spec, n, oh, ow)
-    wg = weights.reshape(g, og, -1)
-    out = np.matmul(cols, wg.transpose(0, 2, 1))       # (g, n*oh*ow, og)
-    out = out.reshape(g, n, oh, ow, og).transpose(1, 0, 4, 2, 3)
-    out = np.ascontiguousarray(out).reshape(n, spec.c_out, oh, ow)
+    wg = weights.reshape(spec.groups, spec.c_out // spec.groups, -1)
+    out = np.matmul(wg, _im2col(x, spec, oh, ow)).reshape(n, spec.c_out, oh, ow)
     out += bias[None, :, None, None]
     return out
 
 
 def conv2d_backward(grad_out, saved_input, weights, spec):
+    """grad_weights sums go @ cols^T over images; dcols = W^T @ go is laid out
+    (n, c_in, kh, kw, oh, ow) and each tap (i, j) adds into the padded input
+    gradient at rows i::sh, cols j::sw. grad_input is a view when spec pads."""
     grad_out = np.asarray(grad_out)
     x = np.asarray(saved_input)
     n, _, h, w = x.shape
@@ -152,25 +148,19 @@ def conv2d_backward(grad_out, saved_input, weights, spec):
     kh, kw = spec.kernel
     sh, sw = spec.stride
     ph, pw = spec.padding
-
-    cg = spec.c_in // g
-    og = spec.c_out // g
     grad_bias = grad_out.sum(axis=(0, 2, 3))
 
-    cols = _im2col(_pad(x, spec.padding), spec, n, oh, ow)
-    go = grad_out.reshape(n, g, og, oh, ow).transpose(1, 0, 3, 4, 2)
-    go = np.ascontiguousarray(go).reshape(g, n * oh * ow, og)
-    grad_weights = np.matmul(go.transpose(0, 2, 1), cols)  # (g, og, cg*kh*kw)
+    go = grad_out.reshape(n, g, spec.c_out // g, oh * ow)
+    cols = _im2col(x, spec, oh, ow)
+    grad_weights = np.matmul(go, cols.transpose(0, 1, 3, 2)).sum(axis=0)
     grad_weights = grad_weights.reshape(spec.weight_shape())
 
-    dcols = np.matmul(go, weights.reshape(g, og, -1))      # (g, n*oh*ow, cg*kh*kw)
-    dcols = dcols.reshape(g, n, oh, ow, cg, kh, kw)
+    wg = weights.reshape(g, spec.c_out // g, -1)
+    dcols = np.matmul(wg.transpose(0, 2, 1), go).reshape(n, spec.c_in, kh, kw, oh, ow)
     grad_pad = np.zeros((n, spec.c_in, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-    gp = grad_pad.reshape(n, g, cg, h + 2 * ph, w + 2 * pw)
     for i in range(kh):
         for j in range(kw):
-            gp[:, :, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += \
-                dcols[..., i, j].transpose(1, 0, 4, 2, 3)
+            grad_pad[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += dcols[:, :, i, j]
     grad_input = grad_pad[:, :, ph:ph + h, pw:pw + w]
     return grad_input, grad_weights, grad_bias
 

@@ -48,6 +48,40 @@ def naive_conv2d(x, w, b, stride=(1, 1), padding=(0, 0), groups=1, counter=None)
     return out
 
 
+def naive_conv2d_backward(grad_out, x, w, stride=(1, 1), padding=(0, 0), groups=1):
+    """Gradients (input, weights, bias) of naive_conv2d, one product at a time.
+
+    Every forward product w[oc, ic, ky, kx] * xp[...] sends grad_out times
+    the other factor to each side; taps that land in the padding are dropped.
+    """
+    n, c_in, h, ww = x.shape
+    c_out, cg, kh, kw = w.shape
+    _, _, oh, ow = grad_out.shape
+    sh, sw = stride
+    ph, pw = padding
+    og = c_out // groups
+    gx = np.zeros((n, c_in, h, ww))
+    gw = np.zeros((c_out, cg, kh, kw))
+    gb = np.zeros(c_out)
+    for bi in range(n):
+        for oc in range(c_out):
+            g = oc // og
+            for oy in range(oh):
+                for ox in range(ow):
+                    go = grad_out[bi, oc, oy, ox]
+                    gb[oc] += go
+                    for ic in range(cg):
+                        for ky in range(kh):
+                            for kx in range(kw):
+                                y = oy * sh + ky - ph
+                                xx = ox * sw + kx - pw
+                                if 0 <= y < h and 0 <= xx < ww:
+                                    c = g * cg + ic
+                                    gw[oc, ic, ky, kx] += go * x[bi, c, y, xx]
+                                    gx[bi, c, y, xx] += go * w[oc, ic, ky, kx]
+    return gx, gw, gb
+
+
 def naive_maxpool(x, kernel, stride):
     """Brute-force per-window max plus flat argmax offsets (lowest offset wins)."""
     n, c, h, w = x.shape

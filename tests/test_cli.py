@@ -173,6 +173,20 @@ class TestCountCompare:
         code = cli.main(["compare", "--csv", str(tmp_path / "none.csv")])
         assert code == 2
 
+    def test_compare_non_numeric_cell_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "rows.csv"
+        p.write_text("name,params,mult_adds,bits\na,1x,2,32\nb,1,2,8\n")
+        code = cli.main(["compare", "--csv", str(p)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_count_spec_not_utf8_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "net.dsl"
+        p.write_bytes(b"\xff\xfe" + SPEC_TEXT.encode())
+        code = cli.main(["count", "--spec", str(p)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestSearchCommand:
     def make_space(self, tmp_path):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (assert_close_grad, naive_conv2d, naive_maxpool,
-                     naive_unpool, numeric_grad)
+from oracles import (assert_close_grad, naive_conv2d, naive_conv2d_backward,
+                     naive_maxpool, naive_unpool, numeric_grad)
 from vacnet import kernels as K
 from vacnet.kernels import ConfigError, ConvSpec, IntegrityError, ShapeError
 
@@ -127,6 +127,80 @@ class TestConvBackward:
         assert_close_grad(gx, numeric_grad(loss, x), 1e-5)
         assert_close_grad(gw, numeric_grad(loss, w), 1e-5)
         assert_close_grad(gb, numeric_grad(loss, b), 1e-5)
+
+
+def check_conv_oracles(x, spec, seed):
+    """conv2d_forward and conv2d_backward against the naive loops at 1e-12."""
+    r = rng(seed)
+    w = r.standard_normal(spec.weight_shape())
+    b = r.standard_normal(spec.c_out)
+    out = K.conv2d_forward(x, w, b, spec)
+    want = naive_conv2d(x, w, b, spec.stride, spec.padding, spec.groups)
+    np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+    gout = r.standard_normal(out.shape)
+    got = K.conv2d_backward(gout, x, w, spec)
+    want = naive_conv2d_backward(gout, x, w, spec.stride, spec.padding, spec.groups)
+    for name, g, wg in zip(("input", "weights", "bias"), got, want):
+        assert g.shape == wg.shape, name
+        np.testing.assert_allclose(g, wg, rtol=0, atol=1e-12, err_msg=name)
+
+
+class TestConvOracles:
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("spec, hw", [
+        (ConvSpec(3, 6, kernel=(3, 3), padding=(1, 1), groups=3), (5, 6)),  # depthwise x2
+        (ConvSpec(4, 3, stride=(2, 2)), (5, 5)),                            # 1x1 s2
+        (ConvSpec(4, 3, padding=(1, 1)), (4, 3)),                           # 1x1 p1
+        (ConvSpec(3, 4, kernel=(3, 3), stride=(2, 2), padding=(1, 1)), (7, 8)),  # dense s2 p1
+        (ConvSpec(4, 6, kernel=(3, 2), stride=(1, 2), padding=(0, 1), groups=2), (5, 5)),
+        (ConvSpec(3, 5), (4, 4)),                                           # pointwise
+    ])
+    def test_matches_naive(self, spec, hw, batch):
+        x = rng(batch).standard_normal((batch, spec.c_in, *hw))
+        check_conv_oracles(x, spec, seed=batch + 1)
+
+    def test_pointwise_patches_are_a_view(self):
+        x = rng(0).standard_normal((2, 4, 3, 5))
+        spec = ConvSpec(4, 6, groups=2)
+        cols = K._im2col(x, spec, 3, 5)
+        assert cols.shape == (2, 2, 2, 15)
+        assert np.shares_memory(cols, x)
+
+    def test_strided_spatial_input(self):
+        x = rng(1).standard_normal((2, 3, 10, 9))[:, :, ::2, ::2]
+        check_conv_oracles(x, ConvSpec(3, 4, kernel=(3, 3), padding=(1, 1)), seed=2)
+        check_conv_oracles(x, ConvSpec(3, 4), seed=3)
+
+    def test_channel_slice_input(self):
+        x = rng(4).standard_normal((2, 7, 5, 5))[:, 2:6]
+        check_conv_oracles(x, ConvSpec(4, 4, groups=2), seed=5)
+        check_conv_oracles(x, ConvSpec(4, 8, kernel=(3, 3), stride=(2, 2),
+                                       padding=(1, 1), groups=4), seed=6)
+
+    def test_backward_grad_input_view_as_input(self):
+        r = rng(7)
+        spec = ConvSpec(3, 2, kernel=(3, 3), padding=(1, 1))
+        x = r.standard_normal((2, 3, 6, 6))
+        gx, _, _ = K.conv2d_backward(r.standard_normal((2, 2, 6, 6)), x,
+                                     r.standard_normal(spec.weight_shape()), spec)
+        assert not gx.flags.c_contiguous
+        check_conv_oracles(gx, ConvSpec(3, 4), seed=8)
+        check_conv_oracles(gx, ConvSpec(3, 3, kernel=(3, 3), stride=(2, 2),
+                                        padding=(1, 1), groups=3), seed=9)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_specs_property(self, data):
+        g = data.draw(st.sampled_from([1, 2, 3]), label="groups")
+        kh, kw = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        spec = ConvSpec(g * data.draw(st.integers(1, 2)), g * data.draw(st.integers(1, 2)),
+                        (kh, kw), (data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))),
+                        (data.draw(st.integers(0, kh - 1)), data.draw(st.integers(0, kw - 1))),
+                        g)
+        shape = (data.draw(st.integers(1, 2)), spec.c_in,
+                 data.draw(st.integers(kh, 6)), data.draw(st.integers(kw, 6)))
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        check_conv_oracles(rng(seed).standard_normal(shape), spec, seed + 1)
 
 
 class TestMaxPool:
