@@ -101,7 +101,10 @@ def cmd_count(args):
     spec = _load_spec(args.spec)
     input_shape = None
     if args.input_shape:
-        input_shape = tuple(int(v) for v in args.input_shape.split(","))
+        try:
+            input_shape = tuple(int(v) for v in args.input_shape.split(","))
+        except ValueError as e:
+            raise ConfigError(f"--input-shape must be C,H,W integers: {e}") from e
         if len(input_shape) != 3:
             raise ConfigError("--input-shape must be C,H,W")
     report = complexity.count_mult_adds(spec, input_shape, bits=args.bits)

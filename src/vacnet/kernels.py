@@ -10,6 +10,7 @@ inference only.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,33 +85,45 @@ class ConvSpec:
         return self.c_out * (self.c_in // self.groups) * kh * kw + self.c_out
 
 
-def _windows(xp, oh, ow, kernel, stride):
-    """Strided sliding-window view (n, c, oh, ow, kh, kw) over a padded input."""
-    n, c, _, _ = xp.shape
-    kh, kw = kernel
-    sh, sw = stride
-    sn, sc, sh_b, sw_b = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp, (n, c, oh, ow, kh, kw), (sn, sc, sh_b * sh, sw_b * sw, sh_b, sw_b),
-        writeable=False)
+@functools.lru_cache(maxsize=256)
+def _taps(h, w, oh, ow, kernel, stride, padding):
+    """Slices (i, j, out_rows, out_cols, in_rows, in_cols) for each kernel tap:
+    the outputs (r, c) whose read of input pixel (r*sh + i - ph, c*sw + j - pw)
+    lands inside the unpadded input, and those reads. Taps wholly in the padding
+    are left out."""
+    def axis(size, osize, k, s, p):
+        spans = {}
+        for t in range(k):
+            lo, hi = max(0, -((t - p) // s)), min(osize, (size - 1 + p - t) // s + 1)
+            if lo < hi:
+                spans[t] = slice(lo, hi), slice(lo * s + t - p, (hi - 1) * s + t - p + 1, s)
+        return spans
+    rows = axis(h, oh, kernel[0], stride[0], padding[0])
+    cols = axis(w, ow, kernel[1], stride[1], padding[1])
+    return tuple((i, j, ro, co, ri, ci)
+                 for i, (ro, ri) in rows.items() for j, (co, ci) in cols.items())
 
 
-def _pad(x, padding):
-    ph, pw = padding
-    if ph == 0 and pw == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+def _is_identity_unfold(spec):
+    return spec.kernel == spec.stride == (1, 1) and spec.padding == (0, 0)
 
 
 def _im2col(x, spec, oh, ow):
     """Channel-major, per-image patch matrix (n, g, (c_in/g)*kh*kw, oh*ow).
 
     Row (c, i, j) of group g is input channel g*(c_in/g) + c at tap (i, j), so
-    W.reshape(g, og, -1) @ cols is NCHW already. A 1x1/s1/p0 conv on a
-    contiguous input needs no copy: the reshape is a view of x.
+    W.reshape(g, og, -1) @ cols is NCHW already. Each tap is one strided copy
+    from the unpadded x. A 1x1/s1/p0 conv on a contiguous input needs no copy:
+    the reshape is a view of x.
     """
-    win = _windows(_pad(x, spec.padding), oh, ow, spec.kernel, spec.stride)
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(x.shape[0], spec.groups, -1, oh * ow)
+    n, c, h, w = x.shape
+    if _is_identity_unfold(spec):
+        return x.reshape(n, spec.groups, -1, oh * ow)
+    alloc = np.zeros if any(spec.padding) else np.empty
+    cols = alloc((n, c, *spec.kernel, oh, ow), dtype=x.dtype)
+    for i, j, ro, co, ri, ci in _taps(h, w, oh, ow, spec.kernel, spec.stride, spec.padding):
+        cols[:, :, i, j, ro, co] = x[:, :, ri, ci]
+    return cols.reshape(n, spec.groups, -1, oh * ow)
 
 
 def conv2d_forward(x, weights, bias, spec):
@@ -135,8 +148,8 @@ def conv2d_forward(x, weights, bias, spec):
 
 def conv2d_backward(grad_out, saved_input, weights, spec):
     """grad_weights sums go @ cols^T over images; dcols = W^T @ go is laid out
-    (n, c_in, kh, kw, oh, ow) and each tap (i, j) adds into the padded input
-    gradient at rows i::sh, cols j::sw. grad_input is a view when spec pads."""
+    (n, c_in, kh, kw, oh, ow) and each tap (i, j) adds its in-bounds part into
+    the unpadded input gradient over the same ranges _im2col read from."""
     grad_out = np.asarray(grad_out)
     x = np.asarray(saved_input)
     n, _, h, w = x.shape
@@ -145,9 +158,6 @@ def conv2d_backward(grad_out, saved_input, weights, spec):
         raise ShapeError(f"grad_out shape {grad_out.shape}, "
                          f"expected {(n, spec.c_out, oh, ow)}")
     g = spec.groups
-    kh, kw = spec.kernel
-    sh, sw = spec.stride
-    ph, pw = spec.padding
     grad_bias = grad_out.sum(axis=(0, 2, 3))
 
     go = grad_out.reshape(n, g, spec.c_out // g, oh * ow)
@@ -156,12 +166,13 @@ def conv2d_backward(grad_out, saved_input, weights, spec):
     grad_weights = grad_weights.reshape(spec.weight_shape())
 
     wg = weights.reshape(g, spec.c_out // g, -1)
-    dcols = np.matmul(wg.transpose(0, 2, 1), go).reshape(n, spec.c_in, kh, kw, oh, ow)
-    grad_pad = np.zeros((n, spec.c_in, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            grad_pad[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += dcols[:, :, i, j]
-    grad_input = grad_pad[:, :, ph:ph + h, pw:pw + w]
+    dcols = np.matmul(wg.transpose(0, 2, 1), go)
+    if _is_identity_unfold(spec):
+        return dcols.reshape(x.shape), grad_weights, grad_bias
+    dcols = dcols.reshape(n, spec.c_in, *spec.kernel, oh, ow)
+    grad_input = np.zeros(x.shape, dtype=x.dtype)
+    for i, j, ro, co, ri, ci in _taps(h, w, oh, ow, spec.kernel, spec.stride, spec.padding):
+        grad_input[:, :, ri, ci] += dcols[:, :, i, j, ro, co]
     return grad_input, grad_weights, grad_bias
 
 
@@ -181,14 +192,14 @@ def maxpool2d_forward(x, kernel, stride):
         raise ShapeError(f"pool kernel {kernel} larger than input {h}x{w}")
     oh = (h - kh) // sh + 1
     ow = (w - kw) // sw + 1
-    win = _windows(x, oh, ow, kernel, stride).reshape(n, c, oh, ow, kh * kw)
-    arg = win.argmax(axis=-1)
-    out = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
-    rows = (np.arange(oh) * sh)[None, None, :, None] + arg // kw
-    cols = (np.arange(ow) * sw)[None, None, None, :] + arg % kw
-    plane = (np.arange(n)[:, None, None, None] * c
-             + np.arange(c)[None, :, None, None])
-    indices = (plane * h + rows) * w + cols
+    flat = np.arange(x.size).reshape(x.shape)
+    (_, _, _, _, ri, ci), *taps = _taps(h, w, oh, ow, (kh, kw), (sh, sw), (0, 0))
+    out, indices = x[:, :, ri, ci].copy(), flat[:, :, ri, ci].copy()
+    for _, _, _, _, ri, ci in taps:
+        tap = x[:, :, ri, ci]
+        better = tap > out
+        np.copyto(out, tap, where=better)
+        np.copyto(indices, flat[:, :, ri, ci], where=better)
     return out, indices
 
 
@@ -225,14 +236,10 @@ def relu_backward(grad_out, saved_input):
 
 
 def sigmoid_forward(x):
-    # Split by sign so exp never overflows.
-    x = np.asarray(x)
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; 1/(1+e) for x >= 0 and e/(1+e) below zero.
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid_backward(grad_out, saved_output):

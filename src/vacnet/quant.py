@@ -103,10 +103,6 @@ def quantize_weights(net, mode=PER_CHANNEL):
     return QuantizedNetwork(qnet, blobs, mode)
 
 
-def quantized_forward(qnet, batch):
-    return qnet.forward(batch)
-
-
 def weight_memory_bytes(net_or_qnet, bits_per_weight, include_scales=False):
     """ceil(params * bits / 8); optionally adds 4 bytes per stored scale."""
     if bits_per_weight not in (8, 32):
@@ -156,12 +152,20 @@ def load_quantized(path):
             if tag == 0:
                 (nbytes,) = struct.unpack(
                     "<Q", netbuilder._read_exact(fh, 8, name))
+                if nbytes != 8 * arr.size:
+                    raise netbuilder.FormatError(
+                        f"blob {name} has {nbytes} bytes, expected {8 * arr.size}")
                 data = np.frombuffer(
                     netbuilder._read_exact(fh, nbytes, name), dtype="<f8")
                 arr[...] = data.reshape(arr.shape)
             elif tag == 1:
                 per_channel, n_scales, nbytes = struct.unpack(
                     "<BIQ", netbuilder._read_exact(fh, 13, name))
+                want_scales = arr.shape[0] if per_channel and arr.ndim >= 2 else 1
+                if n_scales != want_scales or nbytes != arr.size:
+                    raise netbuilder.FormatError(
+                        f"blob {name} has {n_scales} scales and {nbytes} values, "
+                        f"expected {want_scales} and {arr.size}")
                 scales = np.frombuffer(
                     netbuilder._read_exact(fh, 8 * n_scales, name), dtype="<f8")
                 values = np.frombuffer(

@@ -159,6 +159,12 @@ class TestCountCompare:
                          "--input-shape", "1,28"])
         assert code == 2
 
+    def test_count_non_integer_input_shape_exit_2(self, capsys):
+        code = cli.main(["count", "--spec", "attendnet-micro-a",
+                         "--input-shape", "a,b,c"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --input-shape")
+
     def test_compare_prints_published_pairs(self, tmp_path, capsys):
         p = tmp_path / "rows.csv"
         p.write_text(TABLE_CSV)

@@ -178,11 +178,9 @@ class TestConvOracles:
                                        padding=(1, 1), groups=4), seed=6)
 
     def test_backward_grad_input_view_as_input(self):
-        r = rng(7)
-        spec = ConvSpec(3, 2, kernel=(3, 3), padding=(1, 1))
-        x = r.standard_normal((2, 3, 6, 6))
-        gx, _, _ = K.conv2d_backward(r.standard_normal((2, 2, 6, 6)), x,
-                                     r.standard_normal(spec.weight_shape()), spec)
+        # The interior of a padded array: row-strided, not C-contiguous, and
+        # offset from its base, as a gradient cropped from a padded one is.
+        gx = rng(7).standard_normal((2, 3, 8, 8))[:, :, 1:7, 1:7]
         assert not gx.flags.c_contiguous
         check_conv_oracles(gx, ConvSpec(3, 4), seed=8)
         check_conv_oracles(gx, ConvSpec(3, 3, kernel=(3, 3), stride=(2, 2),
@@ -195,10 +193,23 @@ class TestConvOracles:
             return data.draw(st.integers(lo, hi))
         g = data.draw(st.sampled_from([1, 2, 3]))
         kh, kw = draw(1, 3), draw(1, 3)
-        spec = ConvSpec(g * draw(1, 2), g * draw(1, 2), (kh, kw), (draw(1, 2), draw(1, 2)),
-                        (draw(0, kh - 1), draw(0, kw - 1)), g)
-        shape = (draw(1, 2), spec.c_in, draw(kh, 6), draw(kw, 6))
+        # padding up to the kernel size and strides up to 3 leave some taps
+        # with no in-bounds output at all
+        ph, pw = draw(0, kh), draw(0, kw)
+        spec = ConvSpec(g * draw(1, 2), g * draw(1, 2), (kh, kw), (draw(1, 3), draw(1, 3)),
+                        (ph, pw), g)
+        shape = (draw(1, 2), spec.c_in, draw(max(1, kh - 2 * ph), 6),
+                 draw(max(1, kw - 2 * pw), 6))
         check_conv_oracles(rng(draw(0, 2**16)).standard_normal(shape), spec, draw(0, 2**16))
+
+    def test_taps_wholly_in_padding_are_skipped(self):
+        # 1x1 input, 3x3 kernel, padding 3, stride 3: output row (col) 0 reads
+        # rows (cols) -3..-1 and output 1 reads 0..2, so only tap (0, 0) of
+        # output (1, 1) reaches the single pixel.
+        spec = ConvSpec(1, 1, (3, 3), (3, 3), (3, 3))
+        assert [t[:2] for t in K._taps(1, 1, 2, 2, spec.kernel, spec.stride,
+                                       spec.padding)] == [(0, 0)]
+        check_conv_oracles(rng(0).standard_normal((2, 1, 1, 1)), spec, seed=1)
 
 
 class TestMaxPool:
@@ -246,6 +257,26 @@ class TestMaxPool:
         _, idx = K.maxpool2d_forward(x, (2, 2), (2, 2))
         gx = K.maxpool2d_backward(gout, idx, x.shape)
         assert_close_grad(gx, numeric_grad(loss, x), 1e-5)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_pools_property(self, data):
+        # Small integers make ties common; the tie rule must match the oracle's
+        # first-in-window-order maximum. Windows may overlap (stride < kernel)
+        # or skip pixels (stride > kernel), and the input may be a strided view.
+        def draw(lo, hi):
+            return data.draw(st.integers(lo, hi))
+        kernel, stride = (draw(1, 3), draw(1, 3)), (draw(1, 3), draw(1, 3))
+        n, c, h, w = draw(1, 2), draw(1, 3), draw(kernel[0], 7), draw(kernel[1], 7)
+        step = draw(1, 2)
+        base = rng(draw(0, 2**16)).integers(-2, 3, size=(n, c + 1, h * step, w * step))
+        x = base.astype(np.float64)[:, 1:, ::step, ::step]
+        if data.draw(st.booleans()):  # column-major planes
+            x = np.ascontiguousarray(x.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+        out, idx = K.maxpool2d_forward(x, kernel, stride)
+        want, want_idx = naive_maxpool(x, kernel, stride)
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(idx, want_idx)
 
 
 class TestUnpool:
@@ -310,6 +341,29 @@ class TestRelu:
             return float((K.relu_forward(x) * gout).sum())
 
         assert_close_grad(K.relu_backward(gout, x), numeric_grad(loss, x), 1e-5)
+
+
+class TestSigmoid:
+    @staticmethod
+    def split_by_sign(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    def test_bitwise_equal_to_split_by_sign(self):
+        x = np.concatenate([rng(0).standard_normal(500) * 40, [0.0, -0.0, 1e-300, -1e-300,
+                                                                 36.7, -36.7, 745.2, -745.2]])
+        got = K.sigmoid_forward(x.reshape(2, 1, 2, -1))
+        assert got.dtype == np.float64
+        assert got.tobytes() == self.split_by_sign(x).tobytes()
+
+    def test_no_overflow_at_extremes(self):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = K.sigmoid_forward(np.array([-1000.0, 1000.0]))
+        np.testing.assert_array_equal(got, [0.0, 1.0])
 
 
 class TestGap:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from vacnet import netbuilder as nb
 from vacnet import quant
 from vacnet.kernels import ConfigError
 from vacnet.quant import (PER_CHANNEL, PER_TENSOR, load_quantized,
-                          quantize_array, quantize_weights, quantized_forward,
+                          quantize_array, quantize_weights,
                           save_quantized, weight_memory_bytes)
 
 SPEC = """\
@@ -67,7 +69,7 @@ class TestQuantizeNetwork:
         net = make_net()
         qnet = quantize_weights(net, mode)
         x = np.random.default_rng(1).random((3, 1, 8, 8))
-        got = quantized_forward(qnet, x)
+        got = qnet.forward(x)
         # reference: write dequantized blobs into a fresh network, run floats
         ref = nb.compile_spec(net.spec, seed=0)
         ref_params = dict(ref.parameters())
@@ -82,7 +84,7 @@ class TestQuantizeNetwork:
         net = make_net(seed=3)
         qnet = quantize_weights(net, PER_CHANNEL)
         x = np.zeros((1, 1, 8, 8))
-        np.testing.assert_allclose(quantized_forward(qnet, x),
+        np.testing.assert_allclose(qnet.forward(x),
                                    qnet.network.forward(x), atol=0)
 
     def test_biases_not_quantized(self):
@@ -144,8 +146,7 @@ class TestQuantizedFile:
             assert loaded.blobs[name].values.tobytes() == blob.values.tobytes()
             assert loaded.blobs[name].scales.tobytes() == blob.scales.tobytes()
         x = np.random.default_rng(2).random((2, 1, 8, 8))
-        np.testing.assert_array_equal(quantized_forward(qnet, x),
-                                      quantized_forward(loaded, x))
+        np.testing.assert_array_equal(qnet.forward(x), loaded.forward(x))
 
     def test_plain_loader_rejects_quantized_blobs(self, tmp_path):
         qnet = quantize_weights(make_net(), PER_CHANNEL)
@@ -153,3 +154,34 @@ class TestQuantizedFile:
         save_quantized(qnet, path)
         with pytest.raises(nb.FormatError, match="tag"):
             nb.load(path)
+
+    @staticmethod
+    def patch_blob_header(path, tag, fmt, field, delta):
+        """Add delta to one header field of the first blob with this tag. Field
+        offsets count from the tag byte: float64 blobs are (tag B, nbytes Q),
+        int8 blobs are (tag B, per_channel B, n_scales I, nbytes Q)."""
+        raw = bytearray(path.read_bytes())
+        (text_len,) = struct.unpack_from("<I", raw, 8)
+        pos = 12 + text_len + 4
+        while raw[pos] != tag:
+            if raw[pos] == 0:
+                pos += 9 + struct.unpack_from("<Q", raw, pos + 1)[0]
+            else:
+                _, n_scales, nbytes = struct.unpack_from("<BIQ", raw, pos + 1)
+                pos += 14 + 8 * n_scales + nbytes
+        (value,) = struct.unpack_from(fmt, raw, pos + field)
+        struct.pack_into(fmt, raw, pos + field, value + delta)
+        path.write_bytes(bytes(raw))
+
+    @pytest.mark.parametrize("tag, fmt, field, delta, match", [
+        (1, "<I", 2, 1, "scales"),   # one scale too many: per-channel broadcast fails
+        (1, "<Q", 6, -1, "values"),  # one int8 value short: reshape fails
+        (0, "<Q", 1, -8, "bytes"),   # one float64 bias value short
+    ])
+    def test_wrong_blob_header_is_format_error(self, tmp_path, tag, fmt, field, delta,
+                                                match):
+        path = tmp_path / "m.acnk8"
+        save_quantized(quantize_weights(make_net(), PER_CHANNEL), path)
+        self.patch_blob_header(path, tag, fmt, field, delta)
+        with pytest.raises(nb.FormatError, match=f"blob .* {match}"):
+            load_quantized(path)
