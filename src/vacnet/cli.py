@@ -57,12 +57,12 @@ def _write_manifest(out_dir, command, args):
 def cmd_train(args):
     spec = _load_spec(args.spec)
     dataset = _load_dataset(args.data, args.labels)
-    out_dir = Path(args.out)
-    _write_manifest(out_dir, "train", args)
-    net = netbuilder.compile_spec(spec, seed=args.seed)
     cfg = trainer.TrainConfig(lr=args.lr, momentum=args.momentum,
                               batch_size=args.batch, epochs=args.epochs,
                               seed=args.seed)
+    out_dir = Path(args.out)
+    _write_manifest(out_dir, "train", args)
+    net = netbuilder.compile_spec(spec, seed=args.seed)
     report = trainer.train(net, dataset, cfg)
     netbuilder.save(net, out_dir / "model.acnk")
     (out_dir / "metrics.csv").write_text(report.to_csv())

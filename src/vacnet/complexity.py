@@ -14,11 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .kernels import ConfigError, ConvSpec
-from .netbuilder import (ConvLayer, FcLayer, GapLayer, NetworkSpec,
-                         ResidualGroup, SoftmaxLayer)
-from .pepe import PepeConfig, pepe_param_count
-from .vac import VacConfig, vac_param_count
+from .kernels import ConfigError
+from .netbuilder import NetworkSpec
 
 
 @dataclass
@@ -58,87 +55,37 @@ class ComplexityReport:
         return "\n".join(lines)
 
 
-def _conv_mult_adds(spec, h, w, count_bias_adds):
-    oh, ow = spec.out_hw(h, w)
-    kh, kw = spec.kernel
-    ma = kh * kw * (spec.c_in // spec.groups) * spec.c_out * oh * ow
-    if count_bias_adds:
-        ma += spec.c_out * oh * ow
-    return ma, oh, ow
-
-
-def _vac_mult_adds(cfg, h, w, count_bias_adds):
-    total = 0
-    ma, _, _ = _conv_mult_adds(cfg.down_spec(), h, w, count_bias_adds)
-    total += ma
-    pk, ps = cfg.pool
-    qh = (h - pk) // ps + 1
-    qw = (w - pk) // ps + 1
-    ma, _, _ = _conv_mult_adds(cfg.embed_grouped_spec(), qh, qw, count_bias_adds)
-    total += ma
-    ma, _, _ = _conv_mult_adds(cfg.embed_pointwise_spec(), qh, qw, count_bias_adds)
-    total += ma
-    # Gating: one multiply for the attention product, one for the scale,
-    # per element of the down-mixed activation.
-    total += 2 * cfg.c_down * h * w
-    ma, _, _ = _conv_mult_adds(cfg.up_spec(), h, w, count_bias_adds)
-    return total + ma
-
-
-def _walk(layers, h, w, count_bias_adds, prefix=""):
+def _walk(layers, shape, bias, prefix=""):
+    """(name, params, mult-adds) rows of one image entering ``layers`` at
+    ``shape``; a residual group contributes its inner layers' rows."""
     rows = []
     for i, layer in enumerate(layers):
         name = f"{prefix}{i}"
-        if isinstance(layer, ConvLayer):
-            ma, h, w = _conv_mult_adds(layer.spec, h, w, count_bias_adds)
-            rows.append((f"{name}.conv", layer.spec.param_count(), ma))
-        elif isinstance(layer, VacConfig):
-            rows.append((f"{name}.vac", vac_param_count(layer),
-                         _vac_mult_adds(layer, h, w, count_bias_adds)))
-        elif isinstance(layer, PepeConfig):
-            ma = 0
-            hh, ww = h, w
-            for spec in layer.specs():
-                m, hh, ww = _conv_mult_adds(spec, hh, ww, count_bias_adds)
-                ma += m
-            rows.append((f"{name}.pepe", pepe_param_count(layer), ma))
-            h, w = hh, ww
-        elif isinstance(layer, ResidualGroup):
-            inner, h, w = _walk(layer.body, h, w, count_bias_adds, f"{name}.res.")
-            rows.extend(inner)
-        elif isinstance(layer, GapLayer):
-            rows.append((f"{name}.gap", 0, 0))
-            h = w = 1
-        elif isinstance(layer, FcLayer):
-            ma = layer.c_in * layer.out
-            if count_bias_adds:
-                ma += layer.out
-            rows.append((f"{name}.fc", layer.c_in * layer.out + layer.out, ma))
-        elif isinstance(layer, SoftmaxLayer):
-            rows.append((f"{name}.softmax", 0, 0))
+        if layer.kind == "res":
+            rows += _walk(layer.body, shape, bias, f"{name}.res.")
         else:
-            raise ConfigError(f"unknown layer {layer!r}")
-    return rows, h, w
+            rows.append((f"{name}.{layer.kind}", layer.param_count(),
+                         layer.mult_adds(*shape[1:], bias)))
+        shape = layer.out_shape(*shape)
+    return rows
 
 
 def count_mult_adds(spec, input_shape=None, bits=32, count_bias_adds=False):
     """Per-layer and total accounting for one forward pass of a single sample."""
     if not isinstance(spec, NetworkSpec):
         raise ConfigError("count_mult_adds expects a NetworkSpec")
-    if input_shape is None:
-        input_shape = spec.input_shape
-    c, h, w = input_shape
-    if c != spec.input_shape[0]:
+    input_shape = tuple(spec.input_shape if input_shape is None else input_shape)
+    if input_shape[0] != spec.input_shape[0]:
         raise ConfigError(f"input shape {input_shape} disagrees with spec "
                           f"channels {spec.input_shape[0]}")
-    raw, _, _ = _walk(spec.layers, h, w, count_bias_adds)
+    raw = _walk(spec.layers, input_shape, count_bias_adds)
     rows = [LayerRow(name, p, ma, math.ceil(p * bits / 8)) for name, p, ma in raw]
     return ComplexityReport(
         rows=rows,
         total_params=sum(r.params for r in rows),
         total_mult_adds=sum(r.mult_adds for r in rows),
         total_bytes=sum(math.ceil(r.params * bits / 8) for r in rows),
-        input_shape=tuple(input_shape), bits=bits)
+        input_shape=input_shape, bits=bits)
 
 
 def count_params(spec):

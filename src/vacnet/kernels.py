@@ -84,6 +84,19 @@ class ConvSpec:
         kh, kw = self.kernel
         return self.c_out * (self.c_in // self.groups) * kh * kw + self.c_out
 
+    def mult_adds(self, h, w, bias=False):
+        """Forward mult-adds of one image at an h x w input; ``bias`` adds one
+        per output element."""
+        oh, ow = self.out_hw(h, w)
+        kh, kw = self.kernel
+        return (kh * kw * (self.c_in // self.groups) + bias) * self.c_out * oh * ow
+
+    def init_params(self, rng):
+        """Fan-in-scaled uniform weights and zero biases."""
+        kh, kw = self.kernel
+        fan_in = (self.c_in // self.groups) * kh * kw
+        return init_weights(self.weight_shape(), fan_in, rng), np.zeros(self.c_out)
+
 
 @functools.lru_cache(maxsize=256)
 def _taps(h, w, oh, ow, kernel, stride, padding):

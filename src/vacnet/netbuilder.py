@@ -26,8 +26,8 @@ import numpy as np
 
 from . import kernels as K
 from .kernels import ConfigError, ConvSpec, ShapeError
-from .pepe import PepeConfig, init_pepe_params, pepe_backward, pepe_forward, pepe_param_count
-from .vac import VacConfig, init_vac_params, vac_backward, vac_forward, vac_param_count
+from .pepe import PepeConfig, init_pepe_params, pepe_backward, pepe_forward  # noqa: F401
+from .vac import VacConfig, init_vac_params, vac_backward, vac_forward  # noqa: F401
 
 MAGIC = b"ACNK"
 FORMAT_VERSION = 1
@@ -44,30 +44,78 @@ class FormatError(ValueError):
     """Model file is corrupt or has an unsupported version."""
 
 
+# Layer specs. Each one answers the same questions: ``kind`` (its name in
+# parameter and report rows), ``out_shape(c, h, w)``, ``param_count()`` and
+# ``mult_adds(h, w, bias)`` for one image; VacConfig and PepeConfig answer them
+# in their own modules.
+
 @dataclass(frozen=True)
 class ConvLayer:
     spec: ConvSpec
+    kind = "conv"
+
+    def out_shape(self, c, h, w):
+        return (self.spec.c_out, *self.spec.out_hw(h, w))
+
+    def param_count(self):
+        return self.spec.param_count()
+
+    def mult_adds(self, h, w, bias=False):
+        return self.spec.mult_adds(h, w, bias)
+
+
+class _Weightless:
+    def param_count(self):
+        return 0
+
+    def mult_adds(self, h, w, bias=False):
+        return 0
 
 
 @dataclass(frozen=True)
-class GapLayer:
-    pass
+class GapLayer(_Weightless):
+    kind = "gap"
+
+    def out_shape(self, c, h, w):
+        return c, 1, 1
 
 
 @dataclass(frozen=True)
 class FcLayer:
     c_in: int
     out: int
+    kind = "fc"
+
+    def out_shape(self, c, h, w):
+        return self.out, 1, 1
+
+    def param_count(self):
+        return (self.c_in + 1) * self.out
+
+    def mult_adds(self, h, w, bias=False):
+        return (self.c_in + bias) * self.out
 
 
 @dataclass(frozen=True)
-class SoftmaxLayer:
-    pass
+class SoftmaxLayer(_Weightless):
+    kind = "softmax"
+
+    def out_shape(self, c, h, w):
+        return c, h, w
 
 
 @dataclass(frozen=True)
 class ResidualGroup:
     body: tuple
+    kind = "res"
+
+    def out_shape(self, c, h, w):
+        for layer in self.body:
+            c, h, w = layer.out_shape(c, h, w)
+        return c, h, w
+
+    def param_count(self):
+        return sum(layer.param_count() for layer in self.body)
 
 
 @dataclass(frozen=True)
@@ -86,6 +134,8 @@ _OPTION_KEYS = {
     "vac": ("dm", "e1", "e2", "um", "pool", "ps", "ek", "g", "expand", "spc"),
     "pepe": ("p1", "e1", "p2", "e2", "k", "s"),
 }
+_REQUIRED_KEYS = {"conv": ("c",), "vac": ("dm", "e1", "e2", "um"),
+                  "pepe": ("p1", "e1", "p2", "e2")}
 
 
 def _split_option(token, keys, line, col):
@@ -123,13 +173,29 @@ def _parse_options(directive, tokens, line):
     return opts
 
 
+def _configured_layer(word, o, c_in):
+    """The conv, vac or pepe layer that options ``o`` describe, reading c_in channels."""
+    if word == "conv":
+        k, s, p = o.get("k", 1), o.get("s", 1), o.get("p", 0)
+        p = k // 2 if p == "same" else p
+        return ConvLayer(ConvSpec(c_in, o["c"], kernel=(k, k), stride=(s, s),
+                                  padding=(p, p), groups=o.get("g", 1)))
+    if word == "vac":
+        return VacConfig(
+            c_in=c_in, c_down=o["dm"], e1=o["e1"], e2=o["e2"], c_up=o["um"],
+            pool=(o.get("pool", 2), o.get("ps", o.get("pool", 2))),
+            embed_kernel=o.get("ek", 3), embed_groups=o.get("g", 1),
+            per_channel_scale=bool(o.get("spc", 0)), expand_mode=o.get("expand", "unpool"))
+    return PepeConfig(c_in=c_in, p1=o["p1"], e1=o["e1"], p2=o["p2"], e2=o["e2"],
+                      dw_kernel=o.get("k", 3), stride=o.get("s", 1))
+
+
 def parse_dsl(text):
     """Parse DSL text into a validated NetworkSpec."""
-    input_shape = None
+    input_shape = shape = None
     layers = []
     stack = [layers]
-    res_open_line = []
-    cur_c = cur_h = cur_w = None
+    res_open = []  # (line, shape) of each open 'res{'
     tail = []  # seen tail directives, in order
 
     def err(msg, line, col=1):
@@ -161,89 +227,39 @@ def parse_dsl(text):
             c, h, w = (_int_value("input", a, line_no, col) for a, col in args)
             if min(c, h, w) < 1:
                 err("input dimensions must be >= 1", line_no, wcol)
-            input_shape = (c, h, w)
-            cur_c, cur_h, cur_w = c, h, w
+            input_shape = shape = (c, h, w)
+            continue
 
-        elif word == "conv":
-            opts = _parse_options("conv", args, line_no)
-            if "c" not in opts:
-                err("conv requires an output channel count (c)", line_no, wcol)
-            k = opts.get("k", 1)
-            s = opts.get("s", 1)
-            p = opts.get("p", 0)
-            if p == "same":
-                p = k // 2
-            try:
-                spec = ConvSpec(cur_c, opts["c"], kernel=(k, k), stride=(s, s),
-                                padding=(p, p), groups=opts.get("g", 1))
-                oh, ow = spec.out_hw(cur_h, cur_w)
-            except (ConfigError, ShapeError) as e:
-                err(str(e), line_no, wcol)
-            stack[-1].append(ConvLayer(spec))
-            cur_c, cur_h, cur_w = spec.c_out, oh, ow
-
-        elif word == "vac":
-            opts = _parse_options("vac", args, line_no)
-            for req in ("dm", "e1", "e2", "um"):
-                if req not in opts:
-                    err(f"vac requires option {req!r}", line_no, wcol)
-            try:
-                cfg = VacConfig(
-                    c_in=cur_c, c_down=opts["dm"], e1=opts["e1"], e2=opts["e2"],
-                    c_up=opts["um"],
-                    pool=(opts.get("pool", 2), opts.get("ps", opts.get("pool", 2))),
-                    embed_kernel=opts.get("ek", 3), embed_groups=opts.get("g", 1),
-                    per_channel_scale=bool(opts.get("spc", 0)),
-                    expand_mode=opts.get("expand", "unpool"))
-            except ConfigError as e:
-                err(str(e), line_no, wcol)
-            if cfg.pool[0] > cur_h or cfg.pool[0] > cur_w:
-                err(f"pool kernel {cfg.pool[0]} larger than {cur_h}x{cur_w} input",
-                    line_no, wcol)
-            stack[-1].append(cfg)
-            # output shape == input shape
-
-        elif word == "pepe":
-            opts = _parse_options("pepe", args, line_no)
-            for req in ("p1", "e1", "p2", "e2"):
-                if req not in opts:
-                    err(f"pepe requires option {req!r}", line_no, wcol)
-            try:
-                cfg = PepeConfig(c_in=cur_c, p1=opts["p1"], e1=opts["e1"],
-                                 p2=opts["p2"], e2=opts["e2"],
-                                 dw_kernel=opts.get("k", 3), stride=opts.get("s", 1))
-            except ConfigError as e:
-                err(str(e), line_no, wcol)
-            stack[-1].append(cfg)
-            cur_c = cfg.e2
-            cur_h = (cur_h + 2 * (cfg.dw_kernel // 2) - cfg.dw_kernel) // cfg.stride + 1
-            cur_w = (cur_w + 2 * (cfg.dw_kernel // 2) - cfg.dw_kernel) // cfg.stride + 1
-
-        elif word == "res{":
+        if word == "res{":
             stack.append([])
-            res_open_line.append((line_no, cur_c, cur_h, cur_w))
+            res_open.append((line_no, shape))
+            continue
 
-        elif word == "}res":
+        if word == "}res":
             if len(stack) == 1:
                 err("'}res' without matching 'res{'", line_no, wcol)
             body = stack.pop()
-            open_line, c0, h0, w0 = res_open_line.pop()
+            open_line, open_shape = res_open.pop()
             if not body:
                 err("empty residual group", line_no, wcol)
-            if (cur_c, cur_h, cur_w) != (c0, h0, w0):
+            if shape != open_shape:
                 err(f"residual group opened at line {open_line} must preserve shape: "
-                    f"({c0},{h0},{w0}) vs ({cur_c},{cur_h},{cur_w})", line_no, wcol)
+                    f"({','.join(map(str, open_shape))}) vs ({','.join(map(str, shape))})",
+                    line_no, wcol)
             stack[-1].append(ResidualGroup(tuple(body)))
+            continue
 
+        if word in _OPTION_KEYS:
+            opts = _parse_options(word, args, line_no)
+            for req in _REQUIRED_KEYS[word]:
+                if req not in opts:
+                    err(f"{word} requires option {req!r}", line_no, wcol)
         elif word == "gap":
             if len(stack) > 1:
                 err("tail layers may not sit inside a residual group", line_no, wcol)
             if tail:
                 err("duplicate 'gap'", line_no, wcol)
-            tail.append("gap")
-            stack[-1].append(GapLayer())
-            cur_h = cur_w = 1
-
+            layer = GapLayer()
         elif word == "fc":
             if tail != ["gap"]:
                 err("'fc' must directly follow 'gap'", line_no, wcol)
@@ -252,32 +268,36 @@ def parse_dsl(text):
             out = _int_value("fc", args[0][0], line_no, args[0][1])
             if out < 1:
                 err("fc output size must be >= 1", line_no, wcol)
-            tail.append("fc")
-            stack[-1].append(FcLayer(c_in=cur_c, out=out))
-            cur_c = out
-
+            layer = FcLayer(c_in=shape[0], out=out)
         elif word == "softmax":
             if tail != ["gap", "fc"]:
                 err("'softmax' must directly follow 'fc'", line_no, wcol)
-            tail.append("softmax")
-            stack[-1].append(SoftmaxLayer())
-
+            layer = SoftmaxLayer()
         else:
             err(f"unknown directive {word!r}", line_no, wcol)
 
+        try:
+            if word in _OPTION_KEYS:
+                layer = _configured_layer(word, opts, shape[0])
+            shape = layer.out_shape(*shape)
+        except (ConfigError, ShapeError) as e:
+            err(str(e), line_no, wcol)
+        if layer.kind in ("gap", "fc", "softmax"):
+            tail.append(layer.kind)
+        stack[-1].append(layer)
+
     if input_shape is None:
         raise ParseError("missing 'input' directive", 1)
-    if res_open_line:
-        raise ParseError("unclosed 'res{' group", res_open_line[-1][0])
+    if res_open:
+        raise ParseError("unclosed 'res{' group", res_open[-1][0])
     if tail != ["gap", "fc", "softmax"]:
         missing = [t for t in ("gap", "fc", "softmax") if t not in tail]
         raise ParseError(
             f"network must end with gap -> fc -> softmax (missing: {', '.join(missing)})",
             len(text.splitlines()) or 1)
 
-    class_count = next(l.out for l in layers if isinstance(l, FcLayer))
     return NetworkSpec(input_shape=input_shape, layers=tuple(layers),
-                       class_count=class_count, text=text)
+                       class_count=shape[0], text=text)
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +307,8 @@ class ConvBlock:
     kind = "conv"
 
     def __init__(self, layer, rng):
-        spec = layer.spec
-        fan_in = (spec.c_in // spec.groups) * spec.kernel[0] * spec.kernel[1]
-        self.spec = spec
-        self.w = K.init_weights(spec.weight_shape(), fan_in, rng)
-        self.b = np.zeros(spec.c_out)
+        self.spec = layer.spec
+        self.w, self.b = layer.spec.init_params(rng)
         self.grads = {}
         self._cache = None
 
@@ -311,12 +328,15 @@ class ConvBlock:
         return gx
 
 
-class VacBlock:
-    kind = "vac"
+class ConfigBlock:
+    """A VAC or PEPE block. Its passes are the module-level ``<kind>_forward``
+    and ``<kind>_backward``, looked up on every call so that a wrapper installed
+    on this module's attribute sees each pass."""
 
     def __init__(self, config, rng):
+        self.kind = config.kind
         self.config = config
-        self.p = init_vac_params(config, rng)
+        self.p = globals()[f"init_{self.kind}_params"](config, rng)
         self.grads = {}
         self._cache = None
 
@@ -324,33 +344,11 @@ class VacBlock:
         return self.p.as_list()
 
     def forward(self, x):
-        out, self._cache = vac_forward(x, self.p, self.config)
+        out, self._cache = globals()[f"{self.kind}_forward"](x, self.p, self.config)
         return out
 
     def backward(self, grad):
-        gx, gp = vac_backward(grad, self._cache, self.p, self.config)
-        self.grads = dict(gp.as_list())
-        return gx
-
-
-class PepeBlock:
-    kind = "pepe"
-
-    def __init__(self, config, rng):
-        self.config = config
-        self.p = init_pepe_params(config, rng)
-        self.grads = {}
-        self._cache = None
-
-    def params(self):
-        return self.p.as_list()
-
-    def forward(self, x):
-        out, self._cache = pepe_forward(x, self.p, self.config)
-        return out
-
-    def backward(self, grad):
-        gx, gp = pepe_backward(grad, self._cache, self.p, self.config)
+        gx, gp = globals()[f"{self.kind}_backward"](grad, self._cache, self.p, self.config)
         self.grads = dict(gp.as_list())
         return gx
 
@@ -363,9 +361,7 @@ class ResidualBlock:
         self.grads = {}
 
     def params(self):
-        return [(f"{i}.{c.kind}.{name}", arr)
-                for i, c in enumerate(self.children)
-                for name, arr in c.params()]
+        return _named(self.children, lambda c: c.params())
 
     def forward(self, x):
         y = x
@@ -377,21 +373,20 @@ class ResidualBlock:
         g = grad
         for c in reversed(self.children):
             g = c.backward(g)
-        self.grads = {f"{i}.{c.kind}.{name}": arr
-                      for i, c in enumerate(self.children)
-                      for name, arr in c.grads.items()}
+        self.grads = dict(_named(self.children, lambda c: c.grads.items()))
         return grad + g
 
 
-class GapBlock:
-    kind = "gap"
-
+class _WeightlessBlock:
     def __init__(self, layer, rng):
         self.grads = {}
-        self._in_shape = None
 
     def params(self):
         return []
+
+
+class GapBlock(_WeightlessBlock):
+    kind = "gap"
 
     def forward(self, x):
         self._in_shape = x.shape
@@ -425,14 +420,8 @@ class FcBlock:
         return gx.reshape(in_shape)
 
 
-class SoftmaxBlock:
+class SoftmaxBlock(_WeightlessBlock):
     kind = "softmax"
-
-    def __init__(self, layer, rng):
-        self.grads = {}
-
-    def params(self):
-        return []
 
     def forward(self, x):
         return K.softmax(x)
@@ -441,22 +430,18 @@ class SoftmaxBlock:
         raise NotImplementedError("softmax gradient is fused with cross-entropy")
 
 
+def _named(blocks, items):
+    """(index.kind.name, array) pairs of each block's ``items(block)``."""
+    return [(f"{i}.{b.kind}.{name}", arr)
+            for i, b in enumerate(blocks) for name, arr in items(b)]
+
+
+_BLOCKS = {"conv": ConvBlock, "vac": ConfigBlock, "pepe": ConfigBlock,
+           "res": ResidualBlock, "gap": GapBlock, "fc": FcBlock, "softmax": SoftmaxBlock}
+
+
 def _compile_layer(layer, rng):
-    if isinstance(layer, ConvLayer):
-        return ConvBlock(layer, rng)
-    if isinstance(layer, VacConfig):
-        return VacBlock(layer, rng)
-    if isinstance(layer, PepeConfig):
-        return PepeBlock(layer, rng)
-    if isinstance(layer, ResidualGroup):
-        return ResidualBlock(layer, rng)
-    if isinstance(layer, GapLayer):
-        return GapBlock(layer, rng)
-    if isinstance(layer, FcLayer):
-        return FcBlock(layer, rng)
-    if isinstance(layer, SoftmaxLayer):
-        return SoftmaxBlock(layer, rng)
-    raise ConfigError(f"unknown layer spec {layer!r}")
+    return _BLOCKS[layer.kind](layer, rng)
 
 
 class Network:
@@ -471,14 +456,10 @@ class Network:
 
     def parameters(self):
         """All (qualified_name, array) pairs in deterministic order."""
-        return [(f"{i}.{b.kind}.{name}", arr)
-                for i, b in enumerate(self.blocks)
-                for name, arr in b.params()]
+        return _named(self.blocks, lambda b: b.params())
 
     def gradients(self):
-        return [(f"{i}.{b.kind}.{name}", arr)
-                for i, b in enumerate(self.blocks)
-                for name, arr in b.grads.items()]
+        return _named(self.blocks, lambda b: b.grads.items())
 
     def param_count(self):
         return sum(arr.size for _, arr in self.parameters())
@@ -510,70 +491,113 @@ def compile_spec(spec, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# Serialization: magic "ACNK", u32 version, u32 spec-text length, spec text,
-# u32 blob count, then per-parameter blobs (u8 tag, payload). Tag 0 is raw
-# float64 little-endian; tag 1 (written by the quantization module) is
-# int8 values plus per-group scales.
+# Serialization, shared by .acnk and .acnk8 files: magic "ACNK", u32 version,
+# u32 spec-text length, spec text, u32 blob count, then one blob per parameter
+# in Network.parameters() order. Blob tag 0 is (u64 byte count, float64
+# little-endian values); tag 1, an int8 weight, is (u8 per-channel flag, u32
+# scale count, u64 value count, float64 scales, int8 values).
 
-def _write_header(fh, spec_text, n_blobs):
-    raw = spec_text.encode("utf-8")
-    fh.write(MAGIC)
-    fh.write(struct.pack("<I", FORMAT_VERSION))
-    fh.write(struct.pack("<I", len(raw)))
-    fh.write(raw)
-    fh.write(struct.pack("<I", n_blobs))
-
-
-def _read_exact(fh, n, what):
-    data = fh.read(n)
-    if len(data) != n:
-        raise FormatError(f"truncated model file while reading {what}")
-    return data
+def dequantize(values, scales, per_channel):
+    """Float64 weights from int8 values and their scales: one per output
+    channel (along the first axis), or one for the whole tensor."""
+    shape = (-1,) + (1,) * (values.ndim - 1) if per_channel else ()
+    return values.astype(np.float64) * scales.reshape(shape)
 
 
-def _read_header(fh):
-    magic = _read_exact(fh, 4, "magic")
+def write_model(net, path, blobs):
+    """Write the network's parameters as tag-0 blobs, except those named in
+    ``blobs`` (int8 ``values``, ``scales`` and a ``per_channel`` flag): tag 1."""
+    raw = net.spec.text.encode("utf-8")
+    params = net.parameters()
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(raw)) + raw)
+        fh.write(struct.pack("<I", len(params)))
+        for name, arr in params:
+            blob = blobs.get(name)
+            if blob is None:
+                payload = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+                fh.write(struct.pack("<BQ", 0, len(payload)) + payload)
+            else:
+                values = blob.values.tobytes()
+                fh.write(struct.pack("<BBIQ", 1, int(blob.per_channel),
+                                     blob.scales.size, len(values)))
+                fh.write(np.ascontiguousarray(blob.scales, dtype="<f8").tobytes() + values)
+
+
+def read_model(path):
+    """Read a model file into a network; returns (network, blobs). Each int8
+    weight is dequantized into the network and kept in ``blobs[name]`` as
+    (values, scales, per_channel). Any size is checked against the bytes left
+    in the file before it is used; a corrupt file raises FormatError."""
+    with open(path, "rb") as fh:
+        data = memoryview(fh.read())
+    pos = 0
+
+    def take(n, what):
+        nonlocal pos
+        if n > len(data) - pos:
+            raise FormatError(f"truncated model file while reading {what}")
+        pos += n
+        return data[pos - n:pos]
+
+    def unpack(fmt, what):
+        return struct.unpack(fmt, take(struct.calcsize(fmt), what))
+
+    magic, version, text_len = unpack("<4sII", "header")
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version}")
-    (text_len,) = struct.unpack("<I", _read_exact(fh, 4, "spec length"))
-    text = _read_exact(fh, text_len, "spec text").decode("utf-8")
-    (n_blobs,) = struct.unpack("<I", _read_exact(fh, 4, "blob count"))
-    return text, n_blobs
+    text = take(text_len, "spec text")
+    try:
+        spec = parse_dsl(str(text, "utf-8"))
+    except (UnicodeDecodeError, ParseError) as e:
+        raise FormatError(f"model file holds a bad spec: {e}") from e
+    (n_blobs,) = unpack("<I", "blob count")
+    n_params = sum(layer.param_count() for layer in spec.layers)
+    if n_params > len(data) - pos:  # even int8 blobs need a byte per value
+        raise FormatError(f"spec needs {n_params} values, file has "
+                          f"{len(data) - pos} bytes left")
+    net = compile_spec(spec, seed=0)
+    params = net.parameters()
+    if n_blobs != len(params):
+        raise FormatError(f"file has {n_blobs} blobs, spec needs {len(params)}")
+    blobs = {}
+    for name, arr in params:
+        (tag,) = unpack("<B", name)
+        if tag == 0:
+            (nbytes,) = unpack("<Q", name)
+            if nbytes != 8 * arr.size:
+                raise FormatError(f"blob {name} has {nbytes} bytes, "
+                                  f"expected {8 * arr.size}")
+            arr[...] = np.frombuffer(take(nbytes, name), dtype="<f8").reshape(arr.shape)
+        elif tag == 1:
+            per_channel, n_scales, n_values = unpack("<BIQ", name)
+            if per_channel > 1 or (per_channel and arr.ndim < 2):
+                raise FormatError(f"blob {name} has per-channel flag {per_channel} "
+                                  f"on a rank-{arr.ndim} weight")
+            want = arr.shape[0] if per_channel else 1
+            if n_scales != want or n_values != arr.size:
+                raise FormatError(f"blob {name} has {n_scales} scales and {n_values} "
+                                  f"values, expected {want} and {arr.size}")
+            scales = np.frombuffer(take(8 * n_scales, name), dtype="<f8").copy()
+            values = np.frombuffer(take(n_values, name), dtype=np.int8).reshape(arr.shape)
+            blobs[name] = (values.copy(), scales, bool(per_channel))
+            arr[...] = dequantize(values, scales, per_channel)
+        else:
+            raise FormatError(f"blob {name} has unknown tag {tag}")
+    if pos != len(data):
+        raise FormatError("trailing bytes after final blob")
+    return net, blobs
 
 
 def save(net, path):
-    params = net.parameters()
-    with open(path, "wb") as fh:
-        _write_header(fh, net.spec.text, len(params))
-        for _, arr in params:
-            payload = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-            fh.write(struct.pack("<BQ", 0, len(payload)))
-            fh.write(payload)
+    write_model(net, path, {})
 
 
 def load(path):
-    with open(path, "rb") as fh:
-        text, n_blobs = _read_header(fh)
-        spec = parse_dsl(text)
-        net = compile_spec(spec, seed=0)
-        params = net.parameters()
-        if n_blobs != len(params):
-            raise FormatError(f"file has {n_blobs} blobs, spec needs {len(params)}")
-        for name, arr in params:
-            tag, nbytes = struct.unpack("<BQ", _read_exact(fh, 9, f"{name} header"))
-            if tag != 0:
-                raise FormatError(f"blob {name} has tag {tag}; use the quantized loader")
-            data = np.frombuffer(_read_exact(fh, nbytes, name), dtype="<f8")
-            if data.size != arr.size:
-                raise FormatError(f"blob {name} has {data.size} values, "
-                                  f"expected {arr.size}")
-            arr[...] = data.reshape(arr.shape)
-        if fh.read(1):
-            raise FormatError("trailing bytes after final blob")
-    return net
+    """Load a .acnk model, or a .acnk8 one with its int8 weights dequantized."""
+    return read_model(path)[0]
 
 
 # ---------------------------------------------------------------------------

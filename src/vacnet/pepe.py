@@ -24,8 +24,11 @@ class PepeConfig:
     e2: int
     dw_kernel: int = 3
     stride: int = 1
+    kind = "pepe"
 
     def __post_init__(self):
+        if min(self.p1, self.p2, self.dw_kernel, self.stride) < 1:
+            raise ConfigError(f"p1, p2, dw_kernel and stride must be >= 1: {self}")
         if not self.p1 < self.c_in:
             raise ConfigError(f"first projection must reduce: p1={self.p1} >= c_in={self.c_in}")
         if not self.p2 < self.e1:
@@ -35,8 +38,6 @@ class PepeConfig:
         if self.e1 % self.p1:
             raise ConfigError(f"depthwise multiplier e1/p1 must be an integer, "
                               f"got {self.e1}/{self.p1}")
-        if self.dw_kernel < 1 or self.stride < 1:
-            raise ConfigError(f"bad dw_kernel/stride: {self.dw_kernel}/{self.stride}")
 
     def specs(self):
         k = self.dw_kernel
@@ -47,6 +48,21 @@ class PepeConfig:
             ConvSpec(self.e1, self.p2),
             ConvSpec(self.p2, self.e2),
         )
+
+    def out_shape(self, c, h, w):
+        for spec in self.specs():
+            h, w = spec.out_hw(h, w)
+        return self.e2, h, w
+
+    def param_count(self):
+        return sum(spec.param_count() for spec in self.specs())
+
+    def mult_adds(self, h, w, bias=False):
+        total = 0
+        for spec in self.specs():
+            total += spec.mult_adds(h, w, bias)
+            h, w = spec.out_hw(h, w)
+        return total
 
 
 @dataclass
@@ -63,12 +79,7 @@ class PepeParams:
 
 
 def init_pepe_params(config, rng):
-    pairs = []
-    for spec in config.specs():
-        fan_in = (spec.c_in // spec.groups) * spec.kernel[0] * spec.kernel[1]
-        pairs.append((K.init_weights(spec.weight_shape(), fan_in, rng),
-                      np.zeros(spec.c_out)))
-    return PepeParams(pairs)
+    return PepeParams([spec.init_params(rng) for spec in config.specs()])
 
 
 def pepe_forward(x, params, config):
@@ -93,15 +104,13 @@ def pepe_backward(grad_out, cache, params, config):
     if grad.shape != acts[-1].shape:
         raise IntegrityError(f"grad shape {grad.shape} does not match forward "
                              f"output {acts[-1].shape}")
-    grad_pairs = [None] * 4
-    for i in reversed(range(4)):
-        spec = config.specs()[i]
-        w, _ = params.weights[i]
-        grad = K.relu_backward(grad, pres[i])
-        grad, gw, gb = K.conv2d_backward(grad, acts[i], w, spec)
-        grad_pairs[i] = (gw, gb)
-    return grad, PepeParams(grad_pairs)
+    grad_pairs = []
+    layers = zip(config.specs(), params.weights, acts, pres)
+    for spec, (w, _), act, pre in reversed(list(layers)):
+        grad = K.relu_backward(grad, pre)
+        grad, gw, gb = K.conv2d_backward(grad, act, w, spec)
+        grad_pairs.append((gw, gb))
+    return grad, PepeParams(grad_pairs[::-1])
 
 
-def pepe_param_count(config):
-    return sum(spec.param_count() for spec in config.specs())
+pepe_param_count = PepeConfig.param_count

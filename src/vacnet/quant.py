@@ -10,7 +10,6 @@ weight memory, not integer throughput.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +28,7 @@ class QuantizedBlob:
     per_channel: bool
 
     def dequantize(self):
-        if self.per_channel:
-            shape = (-1,) + (1,) * (self.values.ndim - 1)
-            return self.values.astype(np.float64) * self.scales.reshape(shape)
-        return self.values.astype(np.float64) * self.scales[0]
+        return netbuilder.dequantize(self.values, self.scales, self.per_channel)
 
 
 def _round_half_away(x):
@@ -115,69 +111,16 @@ def weight_memory_bytes(net_or_qnet, bits_per_weight, include_scales=False):
 
 
 # ---------------------------------------------------------------------------
-# Quantized model container: same header as netbuilder; weight blobs carry
-# tag 1 (int8 values + scales), biases stay tag 0 (float64).
+# Quantized model container: the netbuilder format, with weight blobs stored
+# as tag 1 (int8 values + scales) and biases as tag 0 (float64).
 
 def save_quantized(qnet, path):
-    params = qnet.network.parameters()
-    with open(path, "wb") as fh:
-        netbuilder._write_header(fh, qnet.spec.text, len(params))
-        for name, arr in params:
-            blob = qnet.blobs.get(name)
-            if blob is None:
-                payload = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-                fh.write(struct.pack("<BQ", 0, len(payload)))
-                fh.write(payload)
-            else:
-                scales = np.ascontiguousarray(blob.scales, dtype="<f8").tobytes()
-                values = blob.values.tobytes()
-                fh.write(struct.pack("<BBIQ", 1, int(blob.per_channel),
-                                     blob.scales.size, len(values)))
-                fh.write(scales)
-                fh.write(values)
+    netbuilder.write_model(qnet.network, path, qnet.blobs)
 
 
 def load_quantized(path):
-    with open(path, "rb") as fh:
-        text, n_blobs = netbuilder._read_header(fh)
-        spec = netbuilder.parse_dsl(text)
-        net = netbuilder.compile_spec(spec, seed=0)
-        params = net.parameters()
-        if n_blobs != len(params):
-            raise netbuilder.FormatError(
-                f"file has {n_blobs} blobs, spec needs {len(params)}")
-        blobs = {}
-        for name, arr in params:
-            (tag,) = struct.unpack("<B", netbuilder._read_exact(fh, 1, name))
-            if tag == 0:
-                (nbytes,) = struct.unpack(
-                    "<Q", netbuilder._read_exact(fh, 8, name))
-                if nbytes != 8 * arr.size:
-                    raise netbuilder.FormatError(
-                        f"blob {name} has {nbytes} bytes, expected {8 * arr.size}")
-                data = np.frombuffer(
-                    netbuilder._read_exact(fh, nbytes, name), dtype="<f8")
-                arr[...] = data.reshape(arr.shape)
-            elif tag == 1:
-                per_channel, n_scales, nbytes = struct.unpack(
-                    "<BIQ", netbuilder._read_exact(fh, 13, name))
-                want_scales = arr.shape[0] if per_channel and arr.ndim >= 2 else 1
-                if n_scales != want_scales or nbytes != arr.size:
-                    raise netbuilder.FormatError(
-                        f"blob {name} has {n_scales} scales and {nbytes} values, "
-                        f"expected {want_scales} and {arr.size}")
-                scales = np.frombuffer(
-                    netbuilder._read_exact(fh, 8 * n_scales, name), dtype="<f8")
-                values = np.frombuffer(
-                    netbuilder._read_exact(fh, nbytes, name), dtype=np.int8)
-                blob = QuantizedBlob(values.reshape(arr.shape).copy(),
-                                     scales.copy(), bool(per_channel))
-                blobs[name] = blob
-                arr[...] = blob.dequantize()
-            else:
-                raise netbuilder.FormatError(f"blob {name} has unknown tag {tag}")
-        if fh.read(1):
-            raise netbuilder.FormatError("trailing bytes after final blob")
+    net, raw = netbuilder.read_model(path)
+    blobs = {name: QuantizedBlob(*blob) for name, blob in raw.items()}
     # scalar weights always store one scale, so any per-channel blob marks
     # the whole file as per-channel
     mode = PER_CHANNEL if any(b.per_channel for b in blobs.values()) else PER_TENSOR

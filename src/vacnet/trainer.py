@@ -135,14 +135,22 @@ def _sgd_step(net, velocities, lr, momentum):
         param -= lr * v
 
 
+def _check_dataset(net, dataset, action):
+    if len(dataset) == 0:
+        raise ConfigError(f"cannot {action} an empty dataset")
+    top, classes = int(dataset.labels.max()), net.spec.class_count
+    if top >= classes:
+        raise ConfigError(f"label {top} is out of range for a network with "
+                          f"{classes} classes")
+
+
 def train(net, dataset, config):
     """Minibatch SGD with momentum. Deterministic given config.seed.
 
     Shuffling uses numpy's PCG64 generator seeded with config.seed, so runs
     reproduce bitwise.
     """
-    if len(dataset) == 0:
-        raise ConfigError("cannot train on an empty dataset")
+    _check_dataset(net, dataset, "train on")
     rng = np.random.Generator(np.random.PCG64(config.seed))
     velocities = {name: np.zeros_like(arr) for name, arr in net.parameters()}
     report = TrainReport()
@@ -169,8 +177,7 @@ def train(net, dataset, config):
 
 def evaluate(net, dataset, batch_size=256):
     """Top-1 accuracy (argmax ties -> lowest class index) and mean loss."""
-    if len(dataset) == 0:
-        raise ConfigError("cannot evaluate an empty dataset")
+    _check_dataset(net, dataset, "evaluate")
     from .kernels import cross_entropy
     correct = 0
     loss_sum = 0.0

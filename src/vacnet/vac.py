@@ -10,12 +10,12 @@ drop-in layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels as K
-from .kernels import ConfigError, ConvSpec, IntegrityError
+from .kernels import ConfigError, ConvSpec, IntegrityError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,12 @@ class VacConfig:
     embed_groups: int = 1
     per_channel_scale: bool = False
     expand_mode: str = "unpool"             # "unpool" | "nearest"
+    kind = "vac"
 
     def __post_init__(self):
+        if min(self.c_down, self.e1, self.embed_kernel, self.embed_groups) < 1:
+            raise ConfigError("c_down, e1, embed_kernel and embed_groups must be >= 1, "
+                              f"got {self}")
         if self.c_down > self.c_in:
             raise ConfigError(f"c_down={self.c_down} must not exceed c_in={self.c_in}")
         if self.c_up != self.c_in:
@@ -62,6 +66,31 @@ class VacConfig:
     def up_spec(self):
         return ConvSpec(self.c_down, self.c_up)
 
+    def specs(self):
+        return (self.down_spec(), self.embed_grouped_spec(),
+                self.embed_pointwise_spec(), self.up_spec())
+
+    def out_shape(self, c, h, w):
+        if self.pool[0] > min(h, w):
+            raise ShapeError(f"pool kernel {self.pool[0]} larger than {h}x{w} input")
+        return c, h, w
+
+    def param_count(self):
+        """Exact learnable scalar count of one block."""
+        scales = self.c_down if self.per_channel_scale else 1
+        return sum(spec.param_count() for spec in self.specs()) + scales
+
+    def mult_adds(self, h, w, bias=False):
+        """The four convolutions (the embedding runs on the pooled grid) plus
+        the gating: one multiply for the attention product and one for the
+        scale, per element of the down-mixed activation."""
+        pk, ps = self.pool
+        qh, qw = (h - pk) // ps + 1, (w - pk) // ps + 1
+        return (self.down_spec().mult_adds(h, w, bias)
+                + self.embed_grouped_spec().mult_adds(qh, qw, bias)
+                + self.embed_pointwise_spec().mult_adds(qh, qw, bias)
+                + 2 * self.c_down * h * w + self.up_spec().mult_adds(h, w, bias))
+
 
 @dataclass
 class VacParams:
@@ -86,17 +115,9 @@ class VacParams:
 
 def init_vac_params(config, rng):
     """Allocate parameters with fan-in-scaled uniform weights, zero biases, scale 1."""
-    def conv(spec):
-        fan_in = (spec.c_in // spec.groups) * spec.kernel[0] * spec.kernel[1]
-        return (K.init_weights(spec.weight_shape(), fan_in, rng),
-                np.zeros(spec.c_out))
-
-    dw, db = conv(config.down_spec())
-    gw, gb = conv(config.embed_grouped_spec())
-    pw, pb = conv(config.embed_pointwise_spec())
-    uw, ub = conv(config.up_spec())
+    convs = [arr for spec in config.specs() for arr in spec.init_params(rng)]
     scale = np.ones(config.c_down) if config.per_channel_scale else np.ones(())
-    return VacParams(dw, db, gw, gb, pw, pb, uw, ub, scale)
+    return VacParams(*convs, scale)
 
 
 def _expand_nearest_maps(h, w, qh, qw, stride):
@@ -188,11 +209,4 @@ def vac_backward(grad_out, cache, params, config):
     return g_v, grads
 
 
-def vac_param_count(config):
-    """Exact learnable scalar count of one block."""
-    n = 0
-    for spec in (config.down_spec(), config.embed_grouped_spec(),
-                 config.embed_pointwise_spec(), config.up_spec()):
-        n += spec.param_count()
-    n += config.c_down if config.per_channel_scale else 1
-    return n
+vac_param_count = VacConfig.param_count

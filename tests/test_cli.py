@@ -76,6 +76,53 @@ class TestExitCodes:
                          "--labels", lab])
         assert code == 3
 
+    @staticmethod
+    def saved_model(tmp_path):
+        path = tmp_path / "m.acnk"
+        nb.save(nb.compile_spec(nb.parse_dsl(SPEC_TEXT), seed=0), path)
+        return path, bytearray(path.read_bytes())
+
+    def eval_exit_code(self, tmp_path, path, capsys):
+        img, lab = write_idx_pair(tmp_path)
+        capsys.readouterr()
+        code = cli.main(["eval", "--model", str(path), "--data", img, "--labels", lab])
+        assert "error:" in capsys.readouterr().err
+        return code
+
+    @pytest.mark.parametrize("nbytes", [2**64 - 1, 7])
+    def test_bad_blob_size_exit_3(self, tmp_path, capsys, nbytes):
+        path, raw = self.saved_model(tmp_path)
+        # magic, version, text length, spec text, blob count, then the blobs
+        first_blob = 12 + len(SPEC_TEXT) + 4
+        assert raw[first_blob] == 0  # a tag-0 (float64) blob
+        struct.pack_into("<Q", raw, first_blob + 1, nbytes)
+        path.write_bytes(bytes(raw))
+        assert self.eval_exit_code(tmp_path, path, capsys) == 3
+
+    @pytest.mark.parametrize("word", [b"\xff\xfe\xfd\xfc", b"cnov"])  # not UTF-8; no parse
+    def test_bad_spec_text_exit_3(self, tmp_path, capsys, word):
+        path, raw = self.saved_model(tmp_path)
+        path.write_bytes(bytes(raw).replace(b"conv", word, 1))
+        assert self.eval_exit_code(tmp_path, path, capsys) == 3
+
+    def test_label_beyond_class_count_exit_2(self, tmp_path, spec_file, capsys):
+        _, out = run_train(tmp_path, spec_file, "run", epochs=1)
+        img, lab = write_idx_pair(tmp_path, classes=13)   # SPEC_TEXT has 3 classes
+        for argv in (["train", "--spec", spec_file, "--out", str(tmp_path / "o")],
+                     ["eval", "--model", str(out / "model.acnk")]):
+            capsys.readouterr()
+            assert cli.main(argv + ["--data", img, "--labels", lab]) == 2
+            assert "error: label 12 is out of range for a network with 3 classes" \
+                in capsys.readouterr().err
+
+    def test_bad_train_config_writes_no_manifest(self, tmp_path, spec_file, capsys):
+        img, lab = write_idx_pair(tmp_path)
+        out = tmp_path / "o"
+        code = cli.main(["train", "--spec", spec_file, "--data", img, "--labels", lab,
+                         "--batch", "0", "--out", str(out)])
+        assert code == 2
+        assert not (out / "manifest.json").exists()
+
     def test_infeasible_search_exit_4(self, tmp_path, capsys):
         text = "input 1 4 4\nconv k1 c2\ngap\nfc 2\nsoftmax\n"
         space = {"candidates": [text],
@@ -130,6 +177,20 @@ class TestEvalQuantize:
         assert code == 0
         text = capsys.readouterr().out
         assert "top-1 accuracy:" in text
+
+    @pytest.mark.parametrize("mode", ["per_channel", "per_tensor"])
+    def test_eval_accepts_quantized_model(self, tmp_path, spec_file, capsys, mode):
+        from vacnet import quant, trainer
+        _, out = run_train(tmp_path, spec_file, "run", epochs=3)
+        qpath = tmp_path / "model.acnk8"
+        assert cli.main(["quantize", "--model", str(out / "model.acnk"),
+                         "--mode", mode, "--out", str(qpath)]) == 0
+        img, lab = write_idx_pair(tmp_path)
+        capsys.readouterr()
+        assert cli.main(["eval", "--model", str(qpath), "--data", img, "--labels", lab]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        top1, loss = trainer.evaluate(quant.load_quantized(qpath), trainer.load_idx(img, lab))
+        assert lines[:2] == [f"top1,{top1!r}", f"loss,{loss!r}"]
 
     def test_quantize_roundtrip(self, tmp_path, spec_file, capsys):
         _, out = run_train(tmp_path, spec_file, "run")

@@ -1,5 +1,10 @@
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import assert_close_grad, numeric_grad
 from vacnet import netbuilder as nb
@@ -77,6 +82,16 @@ class TestParse:
         with pytest.raises(ParseError, match="unclosed"):
             nb.parse_dsl("input 2 8 8\nconv k1 c2\nres{\nconv k1 c2\n")
 
+    @pytest.mark.parametrize("line", [
+        "vac dm2 e1:4 e2:2 um4 g0",     # zero embedding groups
+        "vac dm0 e1:0 e2:0 um4",        # zero-channel convolutions
+        "vac dm2 e1:4 e2:2 um4 ek0",    # zero-size embedding kernel
+        "pepe p1:0 e1:4 p2:2 e2:4",     # zero-channel first projection
+    ])
+    def test_degenerate_block_rejected_at_parse(self, line):
+        with pytest.raises(ParseError, match="line 2"):
+            nb.parse_dsl(f"input 4 8 8\n{line}\ngap\nfc 2\nsoftmax\n")
+
     def test_comments_and_blank_lines(self):
         spec = nb.parse_dsl("# header\n\n" + TINY)
         assert len(spec.layers) == 5
@@ -85,6 +100,71 @@ class TestParse:
         for name in nb.REFERENCE_SPECS:
             spec = nb.reference_spec(name)
             assert spec.class_count == 10
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def _block_line(draw, c, keep_shape=False):
+    """One conv, vac or pepe directive reading ``c`` channels; with keep_shape
+    it maps a c x h x w input to the same shape."""
+    kinds = ["conv", "vac"] + (["pepe"] if c >= 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "conv":
+        c_out = c if keep_shape else draw(st.integers(1, 6))
+        k = draw(st.sampled_from([1, 3]))
+        s, p = (1, k // 2) if keep_shape else (draw(st.integers(1, 2)), draw(st.integers(0, 1)))
+        g = draw(st.sampled_from(_divisors(math.gcd(c, c_out))))
+        return f"conv k{k} s{s} p{p} c{c_out} g{g}", c_out
+    if kind == "vac":
+        dm = draw(st.integers(1, c))
+        g = draw(st.sampled_from(_divisors(dm)))
+        e1 = g * draw(st.integers(1, 3))
+        pool, ps = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        extra = draw(st.sampled_from(["", "spc1", "expand:nearest", "ek1"]))
+        return f"vac dm{dm} e1:{e1} e2:{dm} um{c} pool{pool} ps{ps} g{g} {extra}", c
+    p1 = draw(st.integers(1, c - 1))
+    e1 = p1 * draw(st.integers(2 if p1 == 1 else 1, 3))
+    p2 = draw(st.integers(1, e1 - 1))
+    e2 = c if keep_shape else draw(st.integers(p2, p2 + 3))
+    k, s = draw(st.sampled_from([1, 3])), 1 if keep_shape else draw(st.integers(1, 2))
+    return f"pepe p1:{p1} e1:{e1} p2:{p2} e2:{e2} k{k} s{s}", e2
+
+
+@st.composite
+def dsl_texts(draw):
+    c = draw(st.integers(1, 4))
+    lines = [f"input {c} {draw(st.integers(3, 10))} {draw(st.integers(3, 10))}"]
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            line, c = draw(_block_line(c))
+            lines.append(line)
+        else:
+            lines += ["res{", draw(_block_line(c, keep_shape=True))[0], "}res"]
+    lines += ["gap", f"fc {draw(st.integers(1, 5))}", "softmax"]
+    return "\n".join(lines) + "\n"
+
+
+class TestLayerProtocol:
+    @settings(max_examples=60, deadline=None)
+    @given(text=dsl_texts())
+    def test_out_shape_and_param_count_match_compiled_blocks(self, text):
+        try:
+            spec = nb.parse_dsl(text)
+        except ParseError:
+            assume(False)  # a kernel or pool that does not fit the shrinking map
+        net = nb.compile_spec(spec, seed=0)
+        x = np.random.default_rng(0).random((2, *spec.input_shape))
+        shape = spec.input_shape
+        for layer, block in zip(spec.layers, net.blocks):
+            shape = layer.out_shape(*shape)
+            x = block.forward(x)
+            # fc and softmax give (n, classes): the (classes, 1, 1) map flattened
+            assert x.shape == (2, *shape)[:x.ndim] and x.size == 2 * math.prod(shape)
+            assert layer.param_count() == sum(a.size for _, a in block.params())
+        assert shape == (spec.class_count, 1, 1)
 
 
 class TestCompile:
@@ -207,6 +287,15 @@ class TestSaveLoad:
         data = path.read_bytes()
         path.write_bytes(data[:len(data) - 17])
         with pytest.raises(FormatError, match="truncated"):
+            nb.load(path)
+
+    def test_spec_larger_than_file_rejected_before_compile(self, tmp_path):
+        # 2.4 million parameters declared, none stored: no weights get allocated
+        text = b"input 64 8 8\nconv k3 p1 c4096\ngap\nfc 2\nsoftmax\n"
+        path = tmp_path / "big.acnk"
+        path.write_bytes(b"ACNK" + struct.pack("<II", 1, len(text)) + text
+                         + struct.pack("<I", 4))
+        with pytest.raises(FormatError, match="spec needs 2371586 values"):
             nb.load(path)
 
     def test_bad_version(self, tmp_path):

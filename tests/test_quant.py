@@ -1,4 +1,7 @@
+import functools
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
@@ -148,12 +151,15 @@ class TestQuantizedFile:
         x = np.random.default_rng(2).random((2, 1, 8, 8))
         np.testing.assert_array_equal(qnet.forward(x), loaded.forward(x))
 
-    def test_plain_loader_rejects_quantized_blobs(self, tmp_path):
-        qnet = quantize_weights(make_net(), PER_CHANNEL)
+    @pytest.mark.parametrize("mode", [PER_CHANNEL, PER_TENSOR])
+    def test_plain_loader_dequantizes_int8_blobs(self, tmp_path, mode):
         path = tmp_path / "m.acnk8"
-        save_quantized(qnet, path)
-        with pytest.raises(nb.FormatError, match="tag"):
-            nb.load(path)
+        save_quantized(quantize_weights(make_net(seed=4), mode), path)
+        plain, served = nb.load(path), load_quantized(path)
+        for (name, a), (_, b) in zip(plain.parameters(), served.network.parameters()):
+            assert a.tobytes() == b.tobytes(), name
+        x = np.random.default_rng(5).random((3, 1, 8, 8))
+        assert plain.forward(x).tobytes() == served.forward(x).tobytes()
 
     @staticmethod
     def patch_blob_header(path, tag, fmt, field, delta):
@@ -185,3 +191,53 @@ class TestQuantizedFile:
         self.patch_blob_header(path, tag, fmt, field, delta)
         with pytest.raises(nb.FormatError, match=f"blob .* {match}"):
             load_quantized(path)
+
+
+@functools.lru_cache(maxsize=None)
+def saved_model(kind):
+    """Bytes of a saved .acnk ("float") or .acnk8 (quantization mode) file."""
+    net = make_net(seed=3)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m")
+        if kind == "float":
+            nb.save(net, path)
+        else:
+            save_quantized(quantize_weights(net, kind), path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def load_both(data):
+    """Load ``data`` with both loaders; each must return or raise FormatError.
+    Returns how many raised."""
+    raised = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        for loader in (nb.load, load_quantized):
+            try:
+                loader(path)
+            except nb.FormatError:
+                raised += 1
+    return raised
+
+
+KINDS = st.sampled_from(["float", PER_CHANNEL, PER_TENSOR])
+
+
+class TestReaderFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(kind=KINDS, data=st.data())
+    def test_any_truncation_is_format_error(self, kind, data):
+        raw = saved_model(kind)
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        assert load_both(raw[:cut]) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=KINDS, data=st.data())
+    def test_any_byte_flip_returns_or_is_format_error(self, kind, data):
+        raw = bytearray(saved_model(kind))
+        pos = data.draw(st.integers(0, len(raw) - 1))
+        raw[pos] ^= data.draw(st.integers(1, 255))
+        load_both(bytes(raw))
