@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from . import complexity, explore, netbuilder, quant, trainer
-from .kernels import ConfigError, IntegrityError, ShapeError
+from .kernels import ConfigError, IntegrityError, NonFiniteError, ShapeError
 from .netbuilder import FormatError, ParseError
 from .trainer import DataFormatError, DivergenceError
 
@@ -28,7 +28,7 @@ EXIT_INFEASIBLE = 4
 CONFIG_ERRORS = (ParseError, ConfigError, ShapeError, FileNotFoundError,
                  IsADirectoryError, KeyError, json.JSONDecodeError, UnicodeDecodeError)
 RUNTIME_ERRORS = (DivergenceError, FormatError, DataFormatError, IntegrityError,
-                  OSError)
+                  NonFiniteError, OSError)
 
 
 def _load_spec(spec_arg):

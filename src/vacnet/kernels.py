@@ -28,6 +28,10 @@ class IntegrityError(ValueError):
     """Saved state (pool indices, caches) does not match its consumer."""
 
 
+class NonFiniteError(ArithmeticError):
+    """An activation holds NaN or infinity: the run has diverged."""
+
+
 def check_tensor(x, name="tensor"):
     """Validate the rank-4 activation contract (rank, positive dims, finite)."""
     x = np.asarray(x)
@@ -36,7 +40,7 @@ def check_tensor(x, name="tensor"):
     if min(x.shape) < 1:
         raise ShapeError(f"{name} has an empty dimension: {x.shape}")
     if not np.all(np.isfinite(x)):
-        raise ShapeError(f"{name} contains non-finite values")
+        raise NonFiniteError(f"{name} contains non-finite values")
     return x
 
 

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import kernels as K
 from .kernels import ConfigError, ConvSpec, ShapeError
-from .pepe import PepeConfig, init_pepe_params, pepe_backward, pepe_forward  # noqa: F401
-from .vac import VacConfig, init_vac_params, vac_backward, vac_forward  # noqa: F401
+from .pepe import PepeConfig, pepe_backward, pepe_forward  # noqa: F401
+from .vac import VacConfig, vac_backward, vac_forward  # noqa: F401
 
 MAGIC = b"ACNK"
 FORMAT_VERSION = 1
@@ -45,9 +45,10 @@ class FormatError(ValueError):
 
 
 # Layer specs. Each one answers the same questions: ``kind`` (its name in
-# parameter and report rows), ``out_shape(c, h, w)``, ``param_count()`` and
-# ``mult_adds(h, w, bias)`` for one image; VacConfig and PepeConfig answer them
-# in their own modules.
+# parameter and report rows), ``out_shape(c, h, w)``, ``param_count()``,
+# ``mult_adds(h, w, bias)`` for one image and ``init_params(rng)``, its
+# parameters as a name -> array dict; VacConfig and PepeConfig answer them in
+# their own modules.
 
 @dataclass(frozen=True)
 class ConvLayer:
@@ -63,6 +64,9 @@ class ConvLayer:
     def mult_adds(self, h, w, bias=False):
         return self.spec.mult_adds(h, w, bias)
 
+    def init_params(self, rng):
+        return dict(zip(("w", "b"), self.spec.init_params(rng)))
+
 
 class _Weightless:
     def param_count(self):
@@ -70,6 +74,9 @@ class _Weightless:
 
     def mult_adds(self, h, w, bias=False):
         return 0
+
+    def init_params(self, rng):
+        return {}
 
 
 @dataclass(frozen=True)
@@ -94,6 +101,10 @@ class FcLayer:
 
     def mult_adds(self, h, w, bias=False):
         return (self.c_in + bias) * self.out
+
+    def init_params(self, rng):
+        return {"w": K.init_weights((self.out, self.c_in), self.c_in, rng),
+                "b": np.zeros(self.out)}
 
 
 @dataclass(frozen=True)
@@ -303,65 +314,79 @@ def parse_dsl(text):
 # ---------------------------------------------------------------------------
 # Compiled blocks
 
-class ConvBlock:
-    kind = "conv"
+# Each layer kind runs as ``<kind>_forward(x, p, layer) -> (out, cache)`` and
+# ``<kind>_backward(grad, cache, p, layer) -> (grad_input, grads)``, with the
+# gradients keyed like the parameters ``p``.
+
+def conv_forward(x, p, layer):
+    pre = K.conv2d_forward(x, p["w"], p["b"], layer.spec)
+    return K.relu_forward(pre), (x, pre)
+
+
+def conv_backward(grad, cache, p, layer):
+    x, pre = cache
+    gx, gw, gb = K.conv2d_backward(K.relu_backward(grad, pre), x, p["w"], layer.spec)
+    return gx, {"w": gw, "b": gb}
+
+
+def gap_forward(x, p, layer):
+    return K.global_avg_pool_forward(x), x.shape
+
+
+def gap_backward(grad, in_shape, p, layer):
+    return K.global_avg_pool_backward(grad, in_shape), {}
+
+
+def fc_forward(x, p, layer):
+    flat = x.reshape(x.shape[0], -1)
+    return K.fc_forward(flat, p["w"], p["b"]), (flat, x.shape)
+
+
+def fc_backward(grad, cache, p, layer):
+    flat, in_shape = cache
+    gx, gw, gb = K.fc_backward(grad, flat, p["w"])
+    return gx.reshape(in_shape), {"w": gw, "b": gb}
+
+
+def softmax_forward(x, p, layer):
+    return K.softmax(x), None
+
+
+def softmax_backward(grad, cache, p, layer):  # pragma: no cover - fused path
+    raise NotImplementedError("softmax gradient is fused with cross-entropy")
+
+
+class Block:
+    """One compiled layer: its parameters ``p`` and the module-level
+    ``<kind>_forward``/``<kind>_backward`` pair, looked up on every call so
+    that a wrapper installed on this module's attribute sees each pass."""
 
     def __init__(self, layer, rng):
-        self.spec = layer.spec
-        self.w, self.b = layer.spec.init_params(rng)
+        self.layer = layer
+        self.kind = layer.kind
+        self.p = layer.init_params(rng)
         self.grads = {}
         self._cache = None
 
-    def params(self):
-        return [("w", self.w), ("b", self.b)]
-
     def forward(self, x):
-        pre = K.conv2d_forward(x, self.w, self.b, self.spec)
-        self._cache = (x, pre)
-        return K.relu_forward(pre)
-
-    def backward(self, grad):
-        x, pre = self._cache
-        grad = K.relu_backward(grad, pre)
-        gx, gw, gb = K.conv2d_backward(grad, x, self.w, self.spec)
-        self.grads = {"w": gw, "b": gb}
-        return gx
-
-
-class ConfigBlock:
-    """A VAC or PEPE block. Its passes are the module-level ``<kind>_forward``
-    and ``<kind>_backward``, looked up on every call so that a wrapper installed
-    on this module's attribute sees each pass."""
-
-    def __init__(self, config, rng):
-        self.kind = config.kind
-        self.config = config
-        self.p = globals()[f"init_{self.kind}_params"](config, rng)
-        self.grads = {}
-        self._cache = None
-
-    def params(self):
-        return self.p.as_list()
-
-    def forward(self, x):
-        out, self._cache = globals()[f"{self.kind}_forward"](x, self.p, self.config)
+        out, self._cache = globals()[f"{self.kind}_forward"](x, self.p, self.layer)
         return out
 
     def backward(self, grad):
-        gx, gp = globals()[f"{self.kind}_backward"](grad, self._cache, self.p, self.config)
-        self.grads = dict(gp.as_list())
+        gx, self.grads = globals()[f"{self.kind}_backward"](grad, self._cache, self.p,
+                                                            self.layer)
         return gx
 
 
 class ResidualBlock:
+    """The body's blocks plus the identity shortcut; ``p`` and ``grads`` hold
+    the body's entries under ``index.kind.name``."""
     kind = "res"
 
     def __init__(self, group, rng):
         self.children = [_compile_layer(l, rng) for l in group.body]
+        self.p = dict(_named(self.children, lambda c: c.p.items()))
         self.grads = {}
-
-    def params(self):
-        return _named(self.children, lambda c: c.params())
 
     def forward(self, x):
         y = x
@@ -377,71 +402,14 @@ class ResidualBlock:
         return grad + g
 
 
-class _WeightlessBlock:
-    def __init__(self, layer, rng):
-        self.grads = {}
-
-    def params(self):
-        return []
-
-
-class GapBlock(_WeightlessBlock):
-    kind = "gap"
-
-    def forward(self, x):
-        self._in_shape = x.shape
-        return K.global_avg_pool_forward(x)
-
-    def backward(self, grad):
-        return K.global_avg_pool_backward(grad, self._in_shape)
-
-
-class FcBlock:
-    kind = "fc"
-
-    def __init__(self, layer, rng):
-        self.w = K.init_weights((layer.out, layer.c_in), layer.c_in, rng)
-        self.b = np.zeros(layer.out)
-        self.grads = {}
-        self._cache = None
-
-    def params(self):
-        return [("w", self.w), ("b", self.b)]
-
-    def forward(self, x):
-        flat = x.reshape(x.shape[0], -1)
-        self._cache = (flat, x.shape)
-        return K.fc_forward(flat, self.w, self.b)
-
-    def backward(self, grad):
-        flat, in_shape = self._cache
-        gx, gw, gb = K.fc_backward(grad, flat, self.w)
-        self.grads = {"w": gw, "b": gb}
-        return gx.reshape(in_shape)
-
-
-class SoftmaxBlock(_WeightlessBlock):
-    kind = "softmax"
-
-    def forward(self, x):
-        return K.softmax(x)
-
-    def backward(self, grad):  # pragma: no cover - replaced by the fused path
-        raise NotImplementedError("softmax gradient is fused with cross-entropy")
-
-
 def _named(blocks, items):
     """(index.kind.name, array) pairs of each block's ``items(block)``."""
     return [(f"{i}.{b.kind}.{name}", arr)
             for i, b in enumerate(blocks) for name, arr in items(b)]
 
 
-_BLOCKS = {"conv": ConvBlock, "vac": ConfigBlock, "pepe": ConfigBlock,
-           "res": ResidualBlock, "gap": GapBlock, "fc": FcBlock, "softmax": SoftmaxBlock}
-
-
 def _compile_layer(layer, rng):
-    return _BLOCKS[layer.kind](layer, rng)
+    return (ResidualBlock if layer.kind == "res" else Block)(layer, rng)
 
 
 class Network:
@@ -456,7 +424,7 @@ class Network:
 
     def parameters(self):
         """All (qualified_name, array) pairs in deterministic order."""
-        return _named(self.blocks, lambda b: b.params())
+        return _named(self.blocks, lambda b: b.p.items())
 
     def gradients(self):
         return _named(self.blocks, lambda b: b.grads.items())
@@ -470,8 +438,11 @@ class Network:
         if x.ndim != 4 or x.shape[1:] != (c, h, w):
             raise ShapeError(f"batch shape {x.shape} does not match "
                              f"network input (n, {c}, {h}, {w})")
-        for b in self.blocks:
-            x = b.forward(x)
+        for i, b in enumerate(self.blocks):
+            try:
+                x = b.forward(x)
+            except K.NonFiniteError as e:
+                raise K.NonFiniteError(f"block {i} ({b.kind}): {e}") from e
         self._probs = x
         return x
 

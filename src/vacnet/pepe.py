@@ -7,6 +7,7 @@ reduce (e1 -> p2), pointwise expand (p2 -> e2). ReLU after each layer.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,64 +40,59 @@ class PepeConfig:
             raise ConfigError(f"depthwise multiplier e1/p1 must be an integer, "
                               f"got {self.e1}/{self.p1}")
 
-    def specs(self):
+    @functools.cached_property
+    def convs(self):
+        """ConvSpecs of the four convolutions by name, in pipeline order."""
         k = self.dw_kernel
-        return (
-            ConvSpec(self.c_in, self.p1),
-            ConvSpec(self.p1, self.e1, kernel=(k, k), stride=(self.stride, self.stride),
-                     padding=(k // 2, k // 2), groups=self.p1),
-            ConvSpec(self.e1, self.p2),
-            ConvSpec(self.p2, self.e2),
-        )
+        return {"proj1": ConvSpec(self.c_in, self.p1),
+                "dwexp": ConvSpec(self.p1, self.e1, kernel=(k, k),
+                                  stride=(self.stride, self.stride),
+                                  padding=(k // 2, k // 2), groups=self.p1),
+                "proj2": ConvSpec(self.e1, self.p2),
+                "pwexp": ConvSpec(self.p2, self.e2)}
+
+    def specs(self):
+        return tuple(self.convs.values())
 
     def out_shape(self, c, h, w):
-        for spec in self.specs():
+        for spec in self.convs.values():
             h, w = spec.out_hw(h, w)
         return self.e2, h, w
 
     def param_count(self):
-        return sum(spec.param_count() for spec in self.specs())
+        return sum(spec.param_count() for spec in self.convs.values())
 
     def mult_adds(self, h, w, bias=False):
         total = 0
-        for spec in self.specs():
+        for spec in self.convs.values():
             total += spec.mult_adds(h, w, bias)
             h, w = spec.out_hw(h, w)
         return total
 
-
-@dataclass
-class PepeParams:
-    weights: list  # four (w, b) pairs in pipeline order
-
-    def as_list(self):
-        names = ("proj1", "dwexp", "proj2", "pwexp")
-        out = []
-        for name, (w, b) in zip(names, self.weights):
-            out.append((f"{name}_w", w))
-            out.append((f"{name}_b", b))
-        return out
+    def init_params(self, rng):
+        """``<conv>_w``/``<conv>_b`` for each conv in pipeline order."""
+        p = {}
+        for name, spec in self.convs.items():
+            p[f"{name}_w"], p[f"{name}_b"] = spec.init_params(rng)
+        return p
 
 
-def init_pepe_params(config, rng):
-    return PepeParams([spec.init_params(rng) for spec in config.specs()])
-
-
-def pepe_forward(x, params, config):
+def pepe_forward(x, p, config):
     x = K.check_tensor(x, "pepe input")
     if x.shape[1] != config.c_in:
         raise ConfigError(f"input has {x.shape[1]} channels, config expects {config.c_in}")
     acts = [x]
     pres = []
-    for spec, (w, b) in zip(config.specs(), params.weights):
-        pre = K.conv2d_forward(acts[-1], w, b, spec)
+    for name, spec in config.convs.items():
+        pre = K.conv2d_forward(acts[-1], p[f"{name}_w"], p[f"{name}_b"], spec)
         pres.append(pre)
         acts.append(K.relu_forward(pre))
     cache = {"config": config, "acts": acts, "pres": pres}
     return acts[-1], cache
 
 
-def pepe_backward(grad_out, cache, params, config):
+def pepe_backward(grad_out, cache, p, config):
+    """Returns (grad_input, grads), with grads keyed and ordered like ``p``."""
     if cache.get("config") != config:
         raise IntegrityError("cache was produced by a different configuration")
     acts, pres = cache["acts"], cache["pres"]
@@ -104,13 +100,9 @@ def pepe_backward(grad_out, cache, params, config):
     if grad.shape != acts[-1].shape:
         raise IntegrityError(f"grad shape {grad.shape} does not match forward "
                              f"output {acts[-1].shape}")
-    grad_pairs = []
-    layers = zip(config.specs(), params.weights, acts, pres)
-    for spec, (w, _), act, pre in reversed(list(layers)):
+    grads = {}
+    for (name, spec), act, pre in reversed(list(zip(config.convs.items(), acts, pres))):
         grad = K.relu_backward(grad, pre)
-        grad, gw, gb = K.conv2d_backward(grad, act, w, spec)
-        grad_pairs.append((gw, gb))
-    return grad, PepeParams(grad_pairs[::-1])
-
-
-pepe_param_count = PepeConfig.param_count
+        grad, grads[f"{name}_w"], grads[f"{name}_b"] = K.conv2d_backward(
+            grad, act, p[f"{name}_w"], spec)
+    return grad, {name: grads[name] for name in p}

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import ConfigError
+from .kernels import ConfigError, NonFiniteError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -18,8 +18,8 @@ class DataFormatError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    def __init__(self, step, loss):
-        super().__init__(f"non-finite loss at step {step}: {loss}")
+    def __init__(self, step, detail):
+        super().__init__(f"diverged at step {step}: {detail}")
         self.step = step
 
 
@@ -162,10 +162,13 @@ def train(net, dataset, config):
         correct = 0
         for start in range(0, len(dataset), config.batch_size):
             idx = order[start:start + config.batch_size]
-            probs = net.forward(dataset.images[idx])
+            try:
+                probs = net.forward(dataset.images[idx])
+            except NonFiniteError as e:
+                raise DivergenceError(step, e) from e
             loss = net.loss_and_backward(dataset.labels[idx])
             if not np.isfinite(loss):
-                raise DivergenceError(step, loss)
+                raise DivergenceError(step, f"non-finite loss {loss}")
             _sgd_step(net, velocities, config.lr, config.momentum)
             losses.append(loss * len(idx))
             correct += int((probs.argmax(axis=1) == dataset.labels[idx]).sum())

@@ -10,6 +10,7 @@ drop-in layer.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,29 +47,35 @@ class VacConfig:
         if self.c_down % self.embed_groups or self.e1 % self.embed_groups:
             raise ConfigError(f"embed_groups={self.embed_groups} must divide "
                               f"c_down={self.c_down} and e1={self.e1}")
+        if self.embed_kernel % 2 == 0:
+            raise ConfigError(f"embed_kernel={self.embed_kernel} must be odd, so that "
+                              "the padded embedding keeps the pooled grid")
         if self.pool[0] < 1 or self.pool[1] < 1:
             raise ConfigError(f"bad pool {self.pool}")
         if self.expand_mode not in ("unpool", "nearest"):
             raise ConfigError(f"unknown expand_mode {self.expand_mode!r}")
 
-    # ConvSpecs of the four learned layers, in pipeline order.
+    @functools.cached_property
+    def convs(self):
+        """ConvSpecs of the four learned layers by name, in pipeline order."""
+        k = self.embed_kernel
+        return {"down": ConvSpec(self.c_in, self.c_down),
+                "embed_grouped": ConvSpec(self.c_down, self.e1, kernel=(k, k),
+                                          padding=(k // 2, k // 2), groups=self.embed_groups),
+                "embed_pointwise": ConvSpec(self.e1, self.e2),
+                "up": ConvSpec(self.c_down, self.c_up)}
+
     def down_spec(self):
-        return ConvSpec(self.c_in, self.c_down)
+        return self.convs["down"]
 
     def embed_grouped_spec(self):
-        k = self.embed_kernel
-        return ConvSpec(self.c_down, self.e1, kernel=(k, k), padding=(k // 2, k // 2),
-                        groups=self.embed_groups)
+        return self.convs["embed_grouped"]
 
     def embed_pointwise_spec(self):
-        return ConvSpec(self.e1, self.e2)
+        return self.convs["embed_pointwise"]
 
     def up_spec(self):
-        return ConvSpec(self.c_down, self.c_up)
-
-    def specs(self):
-        return (self.down_spec(), self.embed_grouped_spec(),
-                self.embed_pointwise_spec(), self.up_spec())
+        return self.convs["up"]
 
     def out_shape(self, c, h, w):
         if self.pool[0] > min(h, w):
@@ -78,7 +85,7 @@ class VacConfig:
     def param_count(self):
         """Exact learnable scalar count of one block."""
         scales = self.c_down if self.per_channel_scale else 1
-        return sum(spec.param_count() for spec in self.specs()) + scales
+        return sum(spec.param_count() for spec in self.convs.values()) + scales
 
     def mult_adds(self, h, w, bias=False):
         """The four convolutions (the embedding runs on the pooled grid) plus
@@ -86,38 +93,19 @@ class VacConfig:
         scale, per element of the down-mixed activation."""
         pk, ps = self.pool
         qh, qw = (h - pk) // ps + 1, (w - pk) // ps + 1
-        return (self.down_spec().mult_adds(h, w, bias)
-                + self.embed_grouped_spec().mult_adds(qh, qw, bias)
-                + self.embed_pointwise_spec().mult_adds(qh, qw, bias)
-                + 2 * self.c_down * h * w + self.up_spec().mult_adds(h, w, bias))
+        c = self.convs
+        return (c["down"].mult_adds(h, w, bias) + c["embed_grouped"].mult_adds(qh, qw, bias)
+                + c["embed_pointwise"].mult_adds(qh, qw, bias)
+                + 2 * self.c_down * h * w + c["up"].mult_adds(h, w, bias))
 
-
-@dataclass
-class VacParams:
-    down_w: np.ndarray
-    down_b: np.ndarray
-    embed_grouped_w: np.ndarray
-    embed_grouped_b: np.ndarray
-    embed_pointwise_w: np.ndarray
-    embed_pointwise_b: np.ndarray
-    up_w: np.ndarray
-    up_b: np.ndarray
-    scale: np.ndarray  # shape () or (c_down,)
-
-    def as_list(self):
-        return [("down_w", self.down_w), ("down_b", self.down_b),
-                ("embed_grouped_w", self.embed_grouped_w),
-                ("embed_grouped_b", self.embed_grouped_b),
-                ("embed_pointwise_w", self.embed_pointwise_w),
-                ("embed_pointwise_b", self.embed_pointwise_b),
-                ("up_w", self.up_w), ("up_b", self.up_b), ("scale", self.scale)]
-
-
-def init_vac_params(config, rng):
-    """Allocate parameters with fan-in-scaled uniform weights, zero biases, scale 1."""
-    convs = [arr for spec in config.specs() for arr in spec.init_params(rng)]
-    scale = np.ones(config.c_down) if config.per_channel_scale else np.ones(())
-    return VacParams(*convs, scale)
+    def init_params(self, rng):
+        """``<conv>_w``/``<conv>_b`` for each conv in pipeline order, with
+        fan-in-scaled uniform weights and zero biases, then ``scale`` at 1."""
+        p = {}
+        for name, spec in self.convs.items():
+            p[f"{name}_w"], p[f"{name}_b"] = spec.init_params(rng)
+        p["scale"] = np.ones(self.c_down) if self.per_channel_scale else np.ones(())
+        return p
 
 
 def _expand_nearest_maps(h, w, qh, qw, stride):
@@ -126,22 +114,30 @@ def _expand_nearest_maps(h, w, qh, qw, stride):
     return rows, cols
 
 
-def vac_forward(v, params, config):
-    """Run the block; returns (output, cache) where cache feeds vac_backward."""
+def _conv(x, p, config, name):
+    return K.conv2d_forward(x, p[f"{name}_w"], p[f"{name}_b"], config.convs[name])
+
+
+def _conv_backward(grad, x, p, config, name, grads):
+    gx, grads[f"{name}_w"], grads[f"{name}_b"] = K.conv2d_backward(
+        grad, x, p[f"{name}_w"], config.convs[name])
+    return gx
+
+
+def vac_forward(v, p, config):
+    """Run the block on parameters ``p`` (from ``config.init_params``);
+    returns (output, cache) where cache feeds vac_backward."""
     v = K.check_tensor(v, "vac input")
     if v.shape[1] != config.c_in:
         raise ConfigError(f"input has {v.shape[1]} channels, config expects {config.c_in}")
     n, _, h, w = v.shape
     pk, ps = config.pool
 
-    v_down = K.conv2d_forward(v, params.down_w, params.down_b, config.down_spec())
+    v_down = _conv(v, p, config, "down")
     q, idx = K.maxpool2d_forward(v_down, (pk, pk), (ps, ps))
-    e_pre = K.conv2d_forward(q, params.embed_grouped_w, params.embed_grouped_b,
-                             config.embed_grouped_spec())
+    e_pre = _conv(q, p, config, "embed_grouped")
     e_act = K.relu_forward(e_pre)
-    k_pre = K.conv2d_forward(e_act, params.embed_pointwise_w, params.embed_pointwise_b,
-                             config.embed_pointwise_spec())
-    k_sig = K.sigmoid_forward(k_pre)
+    k_sig = K.sigmoid_forward(_conv(e_act, p, config, "embed_pointwise"))
     if config.expand_mode == "unpool":
         attn = K.unpool2d_forward(k_sig, idx, v_down.shape)
         nearest_maps = None
@@ -151,9 +147,9 @@ def vac_forward(v, params, config):
         attn = k_sig[:, :, rows[:, None], cols[None, :]]
         nearest_maps = (rows, cols)
 
-    s = params.scale if params.scale.ndim == 0 else params.scale[None, :, None, None]
+    s = p["scale"] if p["scale"].ndim == 0 else p["scale"][None, :, None, None]
     gated = v_down * attn * s
-    out = K.conv2d_forward(gated, params.up_w, params.up_b, config.up_spec())
+    out = _conv(gated, p, config, "up")
 
     cache = {
         "config": config, "input": v, "v_down": v_down, "pool_idx": idx,
@@ -163,8 +159,9 @@ def vac_forward(v, params, config):
     return out, cache
 
 
-def vac_backward(grad_out, cache, params, config):
-    """Gradients for the input and every parameter; returns (grad_input, VacParams)."""
+def vac_backward(grad_out, cache, p, config):
+    """Gradients for the input and every parameter; returns (grad_input,
+    grads), with grads keyed and ordered like ``p``."""
     if cache.get("config") is not config and cache.get("config") != config:
         raise IntegrityError("cache was produced by a different configuration")
     v = cache["input"]
@@ -176,16 +173,16 @@ def vac_backward(grad_out, cache, params, config):
         raise IntegrityError(f"grad shape {grad_out.shape} does not match cached "
                              f"forward output {expected}")
 
-    g_gated, g_up_w, g_up_b = K.conv2d_backward(
-        grad_out, cache["gated"], params.up_w, config.up_spec())
+    grads = {}
+    g_gated = _conv_backward(grad_out, cache["gated"], p, config, "up", grads)
 
-    s = params.scale if params.scale.ndim == 0 else params.scale[None, :, None, None]
+    s = p["scale"] if p["scale"].ndim == 0 else p["scale"][None, :, None, None]
     g_vdown_f = g_gated * attn * s
     g_attn = g_gated * v_down * s
-    if params.scale.ndim == 0:
-        g_scale = np.asarray((g_gated * v_down * attn).sum())
+    if p["scale"].ndim == 0:
+        grads["scale"] = np.asarray((g_gated * v_down * attn).sum())
     else:
-        g_scale = (g_gated * v_down * attn).sum(axis=(0, 2, 3))
+        grads["scale"] = (g_gated * v_down * attn).sum(axis=(0, 2, 3))
 
     if config.expand_mode == "unpool":
         g_ksig = K.unpool2d_backward(g_attn, cache["pool_idx"])
@@ -195,18 +192,9 @@ def vac_backward(grad_out, cache, params, config):
         np.add.at(g_ksig, (slice(None), slice(None), rows[:, None], cols[None, :]), g_attn)
 
     g_kpre = K.sigmoid_backward(g_ksig, cache["k_sig"])
-    g_eact, g_ep_w, g_ep_b = K.conv2d_backward(
-        g_kpre, cache["e_act"], params.embed_pointwise_w, config.embed_pointwise_spec())
+    g_eact = _conv_backward(g_kpre, cache["e_act"], p, config, "embed_pointwise", grads)
     g_epre = K.relu_backward(g_eact, cache["e_pre"])
-    g_q, g_eg_w, g_eg_b = K.conv2d_backward(
-        g_epre, cache["q"], params.embed_grouped_w, config.embed_grouped_spec())
+    g_q = _conv_backward(g_epre, cache["q"], p, config, "embed_grouped", grads)
     g_vdown = g_vdown_f + K.maxpool2d_backward(g_q, cache["pool_idx"], v_down.shape)
-    g_v, g_down_w, g_down_b = K.conv2d_backward(
-        g_vdown, v, params.down_w, config.down_spec())
-
-    grads = VacParams(g_down_w, g_down_b, g_eg_w, g_eg_b, g_ep_w, g_ep_b,
-                      g_up_w, g_up_b, g_scale)
-    return g_v, grads
-
-
-vac_param_count = VacConfig.param_count
+    g_v = _conv_backward(g_vdown, v, p, config, "down", grads)
+    return g_v, {name: grads[name] for name in p}

@@ -116,6 +116,16 @@ def naive_unpool(x, idx, out_shape):
     return out.reshape(out_shape)
 
 
+def naive_nearest(x, out_shape, stride):
+    """Copy pooled value (r, c) to every pixel of its stride x stride tile;
+    pixels past the last tile read the last pooled row or column."""
+    _, _, qh, qw = x.shape
+    out = np.zeros(out_shape)
+    for bi, ci, y, xx in np.ndindex(*out_shape):
+        out[bi, ci, y, xx] = x[bi, ci, min(y // stride, qh - 1), min(xx // stride, qw - 1)]
+    return out
+
+
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
@@ -142,13 +152,16 @@ def naive_network_forward(spec, params, x, counter):
         e = np.maximum(e, 0.0)
         k = naive_conv2d(e, params[f"{name}.embed_pointwise_w"],
                          params[f"{name}.embed_pointwise_b"], counter=counter)
-        attn = naive_unpool(_sigmoid(k), idx, vd.shape)
-        scale = params[f"{name}.scale"]
+        if cfg.expand_mode == "unpool":
+            attn = naive_unpool(_sigmoid(k), idx, vd.shape)
+        else:
+            attn = naive_nearest(_sigmoid(k), vd.shape, ps)
+        scale = params[f"{name}.scale"]  # shape () or one per down-mixed channel
         gated = np.zeros_like(vd)
-        for i in range(vd.size):
-            gated.ravel()[i] = vd.ravel()[i] * attn.ravel()[i]
+        for i in np.ndindex(*vd.shape):
+            gated[i] = vd[i] * attn[i]
             counter.n += 1
-            gated.ravel()[i] = gated.ravel()[i] * float(scale)
+            gated[i] = gated[i] * (scale[i[1]] if scale.ndim else scale)
             counter.n += 1
         return naive_conv2d(gated, params[f"{name}.up_w"], params[f"{name}.up_b"],
                             counter=counter)

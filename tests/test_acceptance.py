@@ -24,9 +24,9 @@ from oracles import MulCounter, naive_conv2d, naive_network_forward, numeric_gra
 from vacnet import cli, complexity, explore, quant
 from vacnet import kernels as K
 from vacnet import netbuilder as nb
-from vacnet.pepe import PepeConfig, init_pepe_params, pepe_backward, pepe_forward
+from vacnet.pepe import PepeConfig, pepe_backward, pepe_forward
 from vacnet.trainer import Dataset, TrainConfig, evaluate, train
-from vacnet.vac import VacConfig, init_vac_params, vac_backward, vac_forward
+from vacnet.vac import VacConfig, vac_backward, vac_forward
 
 MNIST_FILES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
                "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
@@ -254,8 +254,8 @@ def _fd_vac(rng):
     cfg = VacConfig(c_in=4, c_down=2, e1=2, e2=2, c_up=4,
                     embed_groups=int(rng.integers(1, 3)),
                     per_channel_scale=bool(rng.integers(2)))
-    params = init_vac_params(cfg, rng)
-    for _, arr in params.as_list():
+    params = cfg.init_params(rng)
+    for _, arr in params.items():
         arr += rng.normal(0.0, 0.05, size=arr.shape)
     x = rng.standard_normal((1, 4, 6, 6))
     out, cache = vac_forward(x, params, cfg)
@@ -266,7 +266,7 @@ def _fd_vac(rng):
 
     gx, gp = vac_backward(gout, cache, params, cfg)
     worst = _rel_err(gx, numeric_grad(loss, x))
-    for (_, g), (_, p) in zip(gp.as_list(), params.as_list()):
+    for (_, g), (_, p) in zip(gp.items(), params.items()):
         worst = max(worst, _rel_err(g, numeric_grad(loss, p)))
     return worst <= 1e-4
 
@@ -274,10 +274,9 @@ def _fd_vac(rng):
 def _fd_pepe(rng):
     cfg = PepeConfig(c_in=4, p1=2, e1=4, p2=2, e2=4,
                      stride=int(rng.integers(1, 3)))
-    params = init_pepe_params(cfg, rng)
-    for w, b in params.weights:
-        w += rng.normal(0.0, 0.05, size=w.shape)
-        b += rng.normal(0.0, 0.05, size=b.shape)
+    params = cfg.init_params(rng)
+    for arr in params.values():
+        arr += rng.normal(0.0, 0.05, size=arr.shape)
     x = rng.standard_normal((1, 4, 5, 5))
     out, cache = pepe_forward(x, params, cfg)
     gout = rng.standard_normal(out.shape)
@@ -287,9 +286,8 @@ def _fd_pepe(rng):
 
     gx, gp = pepe_backward(gout, cache, params, cfg)
     worst = _rel_err(gx, numeric_grad(loss, x))
-    for (gw, gb), (w, b) in zip(gp.weights, params.weights):
-        worst = max(worst, _rel_err(gw, numeric_grad(loss, w)),
-                    _rel_err(gb, numeric_grad(loss, b)))
+    for name, arr in params.items():
+        worst = max(worst, _rel_err(gp[name], numeric_grad(loss, arr)))
     return worst <= 1e-4
 
 
@@ -414,8 +412,8 @@ def test_criterion_4_vac_invariants(capsys):
     failures = []
     for i in range(50):
         cfg = _random_vac_config(rng)
-        params = init_vac_params(cfg, rng)
-        for _, arr in params.as_list():
+        params = cfg.init_params(rng)
+        for _, arr in params.items():
             arr += rng.normal(0.0, 0.1, size=arr.shape)
         h = int(rng.integers(2, 9))
         w = int(rng.integers(2, 9))
@@ -431,10 +429,10 @@ def test_criterion_4_vac_invariants(capsys):
         nonzeros = int(np.count_nonzero(cache["attn"]))
         if nonzeros > bound:
             failures.append(f"config {i}: attention nonzeros {nonzeros} > {bound}")
-        params.scale[...] = 0.0
+        params["scale"][...] = 0.0
         out0, cache0 = vac_forward(x, params, cfg)
         bias_only = K.conv2d_forward(np.zeros_like(cache0["v_down"]),
-                                     params.up_w, params.up_b, cfg.up_spec())
+                                     params["up_w"], params["up_b"], cfg.up_spec())
         if np.any(cache0["gated"]) or np.abs(out0 - bias_only).max() > 0:
             failures.append(f"config {i}: zero scale does not annihilate gating")
     with capsys.disabled():

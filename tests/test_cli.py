@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -122,6 +123,20 @@ class TestExitCodes:
                          "--batch", "0", "--out", str(out)])
         assert code == 2
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_diverging_train_exit_3_names_block(self, tmp_path, capsys):
+        # saturated images at lr 1000: activations overflow within a few steps
+        n = 256
+        img, lab = tmp_path / "images-idx3", tmp_path / "labels-idx1"
+        img.write_bytes(struct.pack(">IIII", 0x803, n, 28, 28) + b"\xff" * (n * 28 * 28))
+        lab.write_bytes(struct.pack(">II", 0x801, n) + bytes(i % 10 for i in range(n)))
+        code = cli.main(["train", "--spec", "attendnet-micro-a", "--data", str(img),
+                         "--labels", str(lab), "--lr", "1000", "--epochs", "2",
+                         "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert re.search(r"error: diverged at step \d+: block \d+ \((vac|pepe|res)\): "
+                         r"\w+ input contains non-finite values", capsys.readouterr().err)
 
     def test_infeasible_search_exit_4(self, tmp_path, capsys):
         text = "input 1 4 4\nconv k1 c2\ngap\nfc 2\nsoftmax\n"

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import assert_close_grad, numeric_grad
+from oracles import MulCounter, assert_close_grad, naive_network_forward, numeric_grad
 from vacnet import netbuilder as nb
+from vacnet.complexity import count_mult_adds
+from vacnet.kernels import NonFiniteError
 from vacnet.netbuilder import FormatError, ParseError
 from vacnet.pepe import PepeConfig
 from vacnet.vac import VacConfig
@@ -92,6 +95,13 @@ class TestParse:
         with pytest.raises(ParseError, match="line 2"):
             nb.parse_dsl(f"input 4 8 8\n{line}\ngap\nfc 2\nsoftmax\n")
 
+    @pytest.mark.parametrize("expand", ["", " expand:nearest"])
+    def test_even_embedding_kernel_rejected_at_parse(self, expand):
+        # a padded even kernel grows the pooled grid, which count and unpool assume kept
+        with pytest.raises(ParseError, match=r"line 2, col 1: embed_kernel=2 must be odd"):
+            nb.parse_dsl(f"input 4 8 8\nvac dm2 e1:4 e2:2 um4 ek2{expand}\n"
+                         "gap\nfc 2\nsoftmax\n")
+
     def test_comments_and_blank_lines(self):
         spec = nb.parse_dsl("# header\n\n" + TINY)
         assert len(spec.layers) == 5
@@ -112,9 +122,11 @@ def _block_line(draw, c, keep_shape=False):
     it maps a c x h x w input to the same shape."""
     kinds = ["conv", "vac"] + (["pepe"] if c >= 2 else [])
     kind = draw(st.sampled_from(kinds))
+    # an even kernel with symmetric padding grows the map, so it cannot keep the shape
+    kernels = [1, 3] if keep_shape else [1, 2, 3]
     if kind == "conv":
         c_out = c if keep_shape else draw(st.integers(1, 6))
-        k = draw(st.sampled_from([1, 3]))
+        k = draw(st.sampled_from(kernels))
         s, p = (1, k // 2) if keep_shape else (draw(st.integers(1, 2)), draw(st.integers(0, 1)))
         g = draw(st.sampled_from(_divisors(math.gcd(c, c_out))))
         return f"conv k{k} s{s} p{p} c{c_out} g{g}", c_out
@@ -123,13 +135,14 @@ def _block_line(draw, c, keep_shape=False):
         g = draw(st.sampled_from(_divisors(dm)))
         e1 = g * draw(st.integers(1, 3))
         pool, ps = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-        extra = draw(st.sampled_from(["", "spc1", "expand:nearest", "ek1"]))
-        return f"vac dm{dm} e1:{e1} e2:{dm} um{c} pool{pool} ps{ps} g{g} {extra}", c
+        ek = draw(st.sampled_from([1, 2, 3]))  # even ek is a parse error
+        extra = draw(st.sampled_from(["", "spc1", "expand:nearest", "spc1 expand:nearest"]))
+        return f"vac dm{dm} e1:{e1} e2:{dm} um{c} pool{pool} ps{ps} ek{ek} g{g} {extra}", c
     p1 = draw(st.integers(1, c - 1))
     e1 = p1 * draw(st.integers(2 if p1 == 1 else 1, 3))
     p2 = draw(st.integers(1, e1 - 1))
     e2 = c if keep_shape else draw(st.integers(p2, p2 + 3))
-    k, s = draw(st.sampled_from([1, 3])), 1 if keep_shape else draw(st.integers(1, 2))
+    k, s = draw(st.sampled_from(kernels)), 1 if keep_shape else draw(st.integers(1, 2))
     return f"pepe p1:{p1} e1:{e1} p2:{p2} e2:{e2} k{k} s{s}", e2
 
 
@@ -163,8 +176,57 @@ class TestLayerProtocol:
             x = block.forward(x)
             # fc and softmax give (n, classes): the (classes, 1, 1) map flattened
             assert x.shape == (2, *shape)[:x.ndim] and x.size == 2 * math.prod(shape)
-            assert layer.param_count() == sum(a.size for _, a in block.params())
+            assert layer.param_count() == sum(a.size for a in block.p.values())
         assert shape == (spec.class_count, 1, 1)
+
+
+class TestOracleAgreement:
+    @settings(max_examples=100, deadline=None)
+    @given(text=dsl_texts())
+    def test_forward_and_mult_adds_match_naive_oracle(self, text):
+        try:
+            spec = nb.parse_dsl(text)
+        except ParseError:
+            assume(False)
+        net = nb.compile_spec(spec, seed=0)
+        x = np.random.default_rng(0).random((1, *spec.input_shape))
+        counter = MulCounter()
+        want = naive_network_forward(spec, dict(net.parameters()), x, counter)
+        np.testing.assert_allclose(net.forward(x), want, atol=1e-9)
+        assert counter.n == count_mult_adds(spec).total_mult_adds
+
+
+@st.composite
+def mutated_specs(draw):
+    """A reference spec after token drops, duplications, swaps and byte
+    substitutions; digits are drawn more often, so that numbers change."""
+    text = nb.REFERENCE_SPECS[draw(st.sampled_from(sorted(nb.REFERENCE_SPECS)))]
+    toks = re.findall(r"\S+|\n", text)  # words and line breaks
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["drop", "dup", "swap", "byte"]))
+        i, j = (draw(st.integers(0, len(toks) - 1)) for _ in range(2))
+        if op == "drop" and len(toks) > 1:
+            del toks[i]
+        elif op == "dup":
+            toks.insert(i, toks[i])
+        elif op == "swap":
+            toks[i], toks[j] = toks[j], toks[i]
+        elif op == "byte":
+            k = draw(st.integers(0, len(toks[i]) - 1))
+            byte = draw(st.one_of(st.sampled_from("0123456789:"),
+                                  st.integers(0, 255).map(chr)))
+            toks[i] = toks[i][:k] + byte + toks[i][k + 1:]
+    return " ".join(toks)
+
+
+class TestParserFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(text=mutated_specs())
+    def test_mutated_reference_specs_raise_only_parse_error(self, text):
+        try:
+            nb.parse_dsl(text)
+        except ParseError:
+            pass
 
 
 class TestCompile:
@@ -254,6 +316,13 @@ class TestForwardBackward:
                 arr.ravel()[i] = old
                 numeric[j] = (fp - fm) / 2e-6
             assert_close_grad(analytic, numeric, 1e-4)
+
+    def test_non_finite_activation_names_block(self):
+        net = nb.compile_spec(nb.parse_dsl(TINY), seed=0)
+        x = np.zeros((1, 1, 28, 28))
+        x[0, 0, 3, 3] = np.nan
+        with pytest.raises(NonFiniteError, match=r"block 1 \(vac\): vac input"):
+            net.forward(x)
 
     def test_bad_batch_shape(self):
         net = nb.compile_spec(nb.parse_dsl(TINY), seed=0)

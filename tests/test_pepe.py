@@ -4,13 +4,12 @@ import pytest
 from oracles import assert_close_grad, numeric_grad
 from vacnet import kernels as K
 from vacnet.kernels import ConfigError, IntegrityError
-from vacnet.pepe import (PepeConfig, init_pepe_params, pepe_backward,
-                         pepe_forward, pepe_param_count)
+from vacnet.pepe import PepeConfig, pepe_backward, pepe_forward
 
 
 def make(c_in=32, p1=8, e1=16, p2=8, e2=32, stride=1, seed=0):
     cfg = PepeConfig(c_in=c_in, p1=p1, e1=e1, p2=p2, e2=e2, stride=stride)
-    return cfg, init_pepe_params(cfg, np.random.default_rng(seed))
+    return cfg, cfg.init_params(np.random.default_rng(seed))
 
 
 class TestConfig:
@@ -44,8 +43,9 @@ class TestForward:
         x = np.random.default_rng(30).standard_normal((2, 8, 6, 6))
         out, _ = pepe_forward(x, params, cfg)
         y = x
-        for spec, (w, b) in zip(cfg.specs(), params.weights):
-            y = K.relu_forward(K.conv2d_forward(y, w, b, spec))
+        for name, spec in cfg.convs.items():
+            y = K.relu_forward(K.conv2d_forward(y, params[f"{name}_w"],
+                                                params[f"{name}_b"], spec))
         np.testing.assert_allclose(out, y, atol=1e-12)
 
     def test_wrong_channels_rejected(self):
@@ -68,9 +68,8 @@ class TestBackward:
 
         gx, gp = pepe_backward(gout, cache, params, cfg)
         assert_close_grad(gx, numeric_grad(loss, x), 1e-5)
-        for (gw, gb), (w, b) in zip(gp.weights, params.weights):
-            assert_close_grad(gw, numeric_grad(loss, w), 1e-5)
-            assert_close_grad(gb, numeric_grad(loss, b), 1e-5)
+        for name, arr in params.items():
+            assert_close_grad(gp[name], numeric_grad(loss, arr), 1e-5)
 
     def test_grad_shape_mismatch_rejected(self):
         cfg, params = make(c_in=6, p1=3, e1=6, p2=3, e2=6)
@@ -83,12 +82,12 @@ class TestBackward:
 class TestParamCount:
     def test_reference_sum(self):
         cfg, params = make()
-        count = pepe_param_count(cfg)
-        assert count == sum(w.size + b.size for w, b in params.weights)
+        count = cfg.param_count()
+        assert count == sum(a.size for a in params.values())
         assert count == 848  # (32*8+8)+(9*16+16)+(16*8+8)+(8*32+32)
 
     def test_invariant_to_spatial_and_stride(self):
-        assert pepe_param_count(make(stride=1)[0]) == pepe_param_count(make(stride=2)[0])
+        assert make(stride=1)[0].param_count() == make(stride=2)[0].param_count()
 
     def test_degenerate_configs_rejected_before_counting(self):
         with pytest.raises(ConfigError):

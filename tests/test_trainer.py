@@ -6,8 +6,8 @@ import pytest
 from vacnet import netbuilder as nb
 from vacnet import trainer
 from vacnet.kernels import ConfigError
-from vacnet.trainer import (DataFormatError, Dataset, TrainConfig, evaluate,
-                            load_cifar10, load_idx, train)
+from vacnet.trainer import (DataFormatError, Dataset, DivergenceError, TrainConfig,
+                            evaluate, load_cifar10, load_idx, train)
 
 FC_ONLY = """\
 input 1 4 4
@@ -137,6 +137,16 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train(net, Dataset(np.zeros((0, 1, 4, 4)), np.zeros(0, dtype=int)),
                   TrainConfig())
+
+
+    def test_non_finite_activation_is_divergence_at_its_step(self):
+        net = nb.compile_spec(nb.parse_dsl("input 1 4 4\nconv k1 c4\nvac dm2 e1:2 e2:2 um4\n"
+                                           "gap\nfc 2\nsoftmax\n"), seed=0)
+        ds = toy_dataset(n=8)
+        ds.images[5, 0, 1, 1] = np.nan  # in the second batch of four
+        with pytest.raises(DivergenceError, match=r"step 1: block 1 \(vac\)") as info:
+            train(net, ds, TrainConfig(batch_size=4, shuffle=False))
+        assert info.value.step == 1
 
 
 class TestEvaluate:

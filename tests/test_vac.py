@@ -4,14 +4,13 @@ import pytest
 from oracles import assert_close_grad, numeric_grad
 from vacnet import kernels as K
 from vacnet.kernels import ConfigError, IntegrityError
-from vacnet.vac import (VacConfig, init_vac_params, vac_backward, vac_forward,
-                        vac_param_count)
+from vacnet.vac import VacConfig, vac_backward, vac_forward
 
 
 def make(c_in=16, c_down=4, e1=4, e2=4, pool=(2, 2), ek=3, groups=4, seed=0, **kw):
     cfg = VacConfig(c_in=c_in, c_down=c_down, e1=e1, e2=e2, c_up=c_in,
                     pool=pool, embed_kernel=ek, embed_groups=groups, **kw)
-    params = init_vac_params(cfg, np.random.default_rng(seed))
+    params = cfg.init_params(np.random.default_rng(seed))
     return cfg, params
 
 
@@ -25,6 +24,10 @@ class TestConfig:
             VacConfig(c_in=8, c_down=4, e1=4, e2=2, c_up=8)   # e2 != c_down
         with pytest.raises(ConfigError):
             VacConfig(c_in=8, c_down=4, e1=4, e2=4, c_up=8, embed_groups=3)
+
+    def test_even_embed_kernel_rejected(self):
+        with pytest.raises(ConfigError, match="must be odd"):
+            VacConfig(c_in=4, c_down=2, e1=4, e2=2, c_up=4, embed_kernel=2)
 
 
 class TestForward:
@@ -41,13 +44,13 @@ class TestForward:
 
     def test_zero_scale_annihilates(self):
         cfg, params = make()
-        params.scale = np.zeros(())
-        params.up_b[:] = np.arange(16, dtype=np.float64)
+        params["scale"] = np.zeros(())
+        params["up_b"][:] = np.arange(16, dtype=np.float64)
         x = np.random.default_rng(2).standard_normal((2, 16, 8, 8))
         out, cache = vac_forward(x, params, cfg)
         assert not cache["gated"].any()
         np.testing.assert_array_equal(
-            out, np.broadcast_to(params.up_b[None, :, None, None], out.shape))
+            out, np.broadcast_to(params["up_b"][None, :, None, None], out.shape))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_compositional_oracle(self, seed):
@@ -55,16 +58,16 @@ class TestForward:
         x = np.random.default_rng(seed + 50).standard_normal((2, 16, 8, 8))
         out, _ = vac_forward(x, params, cfg)
 
-        vd = K.conv2d_forward(x, params.down_w, params.down_b, cfg.down_spec())
+        vd = K.conv2d_forward(x, params["down_w"], params["down_b"], cfg.down_spec())
         q, idx = K.maxpool2d_forward(vd, (2, 2), (2, 2))
-        e = K.relu_forward(K.conv2d_forward(q, params.embed_grouped_w,
-                                            params.embed_grouped_b,
+        e = K.relu_forward(K.conv2d_forward(q, params["embed_grouped_w"],
+                                            params["embed_grouped_b"],
                                             cfg.embed_grouped_spec()))
-        k = K.conv2d_forward(e, params.embed_pointwise_w, params.embed_pointwise_b,
+        k = K.conv2d_forward(e, params["embed_pointwise_w"], params["embed_pointwise_b"],
                              cfg.embed_pointwise_spec())
         attn = K.unpool2d_forward(K.sigmoid_forward(k), idx, vd.shape)
-        gated = vd * attn * params.scale
-        want = K.conv2d_forward(gated, params.up_w, params.up_b, cfg.up_spec())
+        gated = vd * attn * params["scale"]
+        want = K.conv2d_forward(gated, params["up_w"], params["up_b"], cfg.up_spec())
         np.testing.assert_allclose(out, want, atol=1e-12)
 
     def test_output_shape_equals_input_for_random_configs(self):
@@ -80,7 +83,7 @@ class TestForward:
             cfg = VacConfig(c_in=c_in, c_down=c_down, e1=e1, e2=c_down, c_up=c_in,
                             pool=(pk, pk), embed_kernel=int(r.choice([1, 3])),
                             embed_groups=g)
-            params = init_vac_params(cfg, r)
+            params = cfg.init_params(r)
             x = r.standard_normal((1, c_in, h, w))
             out, _ = vac_forward(x, params, cfg)
             assert out.shape == x.shape
@@ -103,21 +106,21 @@ class TestForward:
         # that skips down- and up-mixing entirely.
         c = 4
         cfg, params = make(c_in=c, c_down=c, e1=4, e2=c, groups=2, seed=3)
-        params.down_w = np.eye(c).reshape(c, c, 1, 1)
-        params.down_b = np.zeros(c)
-        params.up_w = np.eye(c).reshape(c, c, 1, 1)
-        params.up_b = np.zeros(c)
+        params["down_w"] = np.eye(c).reshape(c, c, 1, 1)
+        params["down_b"] = np.zeros(c)
+        params["up_w"] = np.eye(c).reshape(c, c, 1, 1)
+        params["up_b"] = np.zeros(c)
         x = np.random.default_rng(8).standard_normal((1, c, 6, 6))
         out, _ = vac_forward(x, params, cfg)
 
         q, idx = K.maxpool2d_forward(x, (2, 2), (2, 2))
-        e = K.relu_forward(K.conv2d_forward(q, params.embed_grouped_w,
-                                            params.embed_grouped_b,
+        e = K.relu_forward(K.conv2d_forward(q, params["embed_grouped_w"],
+                                            params["embed_grouped_b"],
                                             cfg.embed_grouped_spec()))
-        k = K.conv2d_forward(e, params.embed_pointwise_w, params.embed_pointwise_b,
+        k = K.conv2d_forward(e, params["embed_pointwise_w"], params["embed_pointwise_b"],
                              cfg.embed_pointwise_spec())
         attn = K.unpool2d_forward(K.sigmoid_forward(k), idx, x.shape)
-        np.testing.assert_allclose(out, x * attn * params.scale, atol=1e-12)
+        np.testing.assert_allclose(out, x * attn * params["scale"], atol=1e-12)
 
     def test_nearest_expansion_mode(self):
         cfg, params = make(expand_mode="nearest")
@@ -141,7 +144,7 @@ class TestBackward:
         out, cache = vac_forward(x, params, cfg)
         gx, gp = vac_backward(np.zeros_like(out), cache, params, cfg)
         assert not gx.any()
-        assert all(not arr.any() for _, arr in gp.as_list())
+        assert all(not arr.any() for _, arr in gp.items())
 
     def test_stale_cache_rejected(self):
         cfg, params = make()
@@ -167,7 +170,7 @@ class TestBackward:
         _, cache = vac_forward(x, params, cfg)
         gx, gp = vac_backward(gout, cache, params, cfg)
         assert_close_grad(gx, numeric_grad(loss, x), 1e-5)
-        for (name, analytic), (_, arr) in zip(gp.as_list(), params.as_list()):
+        for (name, analytic), (_, arr) in zip(gp.items(), params.items()):
             assert_close_grad(analytic, numeric_grad(loss, arr), 1e-5)
 
     def test_scale_gradient_formula(self):
@@ -181,35 +184,35 @@ class TestBackward:
         def loss():
             return float((vac_forward(x, params, cfg)[0] * gout).sum())
 
-        assert_close_grad(gp.scale, numeric_grad(loss, params.scale), 1e-5)
+        assert_close_grad(gp["scale"], numeric_grad(loss, params["scale"]), 1e-5)
         # analytic form: sum of (upstream through up-mix) * V' * A
-        g_gated, _, _ = K.conv2d_backward(gout, cache["gated"], params.up_w,
+        g_gated, _, _ = K.conv2d_backward(gout, cache["gated"], params["up_w"],
                                           cfg.up_spec())
         want = (g_gated * cache["v_down"] * cache["attn"]).sum()
-        assert gp.scale == pytest.approx(want, rel=1e-12)
+        assert gp["scale"] == pytest.approx(want, rel=1e-12)
 
 
 class TestParamCount:
     def test_reference_config(self):
         cfg, params = make()  # c_in=16, c_down=4, e1=4, e2=4, k3, groups=4
-        count = vac_param_count(cfg)
-        enumerated = sum(arr.size for _, arr in params.as_list())
+        count = cfg.param_count()
+        enumerated = sum(arr.size for _, arr in params.items())
         assert count == enumerated
         # per-layer sum: (64+4) + (36+4) + (16+4) + (64+16) + 1
         assert count == 209
 
     def test_groups_one_matches_general_formula(self):
         cfg, params = make(groups=1)
-        assert vac_param_count(cfg) == sum(a.size for _, a in params.as_list())
+        assert cfg.param_count() == sum(a.size for _, a in params.items())
 
     def test_doubling_c_in_delta(self):
         cfg1, _ = make(c_in=16)
         cfg2, _ = make(c_in=32)
-        delta = vac_param_count(cfg2) - vac_param_count(cfg1)
+        delta = cfg2.param_count() - cfg1.param_count()
         c_down = 4
         assert delta == c_down * 16 + 16 + c_down * 16  # down weights, up bias, up weights
 
     def test_per_channel_scale_counts(self):
         cfg, params = make(per_channel_scale=True)
-        assert vac_param_count(cfg) == sum(a.size for _, a in params.as_list())
-        assert vac_param_count(cfg) == 209 - 1 + 4
+        assert cfg.param_count() == sum(a.size for _, a in params.items())
+        assert cfg.param_count() == 209 - 1 + 4
