@@ -166,8 +166,8 @@ def _training_eval_fn(dataset, args):
         cfg = trainer.TrainConfig(lr=args.lr, batch_size=args.batch,
                                   epochs=args.epochs, seed=args.seed)
         trainer.train(net, dataset, cfg)
-        top1, _ = trainer.evaluate(net, dataset)
-        return {"top1": top1, "bits": 32}
+        top1, _ = trainer.evaluate(quant.quantize_weights(net), dataset)
+        return {"top1": top1, "bits": 8}
     return eval_fn
 
 

@@ -149,13 +149,17 @@ class SearchResult:
 
 def search(space, budget, indicator_cfg, pf, eval_fn, seed=0):
     """Evaluate ``budget`` sampled candidates, keep the feasible ones, and rank
-    them by descending score (ties: fewer params, then spec text)."""
+    them by descending score (ties: fewer params, then spec text). A spec text
+    drawn again reuses its first result but still gets its own audit record."""
     if budget < 1:
         raise ConfigError(f"budget must be >= 1, got {budget}")
     rng = np.random.Generator(np.random.PCG64(seed))
     audit = []
+    results = {}
     for cid, text in enumerate(space.draw(budget, rng)):
-        result = eval_fn(text)
+        if text not in results:
+            results[text] = eval_fn(text)
+        result = results[text]
         params = result.get("params")
         mult_adds = result.get("mult_adds")
         if params is None or mult_adds is None:

@@ -413,13 +413,16 @@ def _compile_layer(layer, rng):
 
 
 class Network:
-    """Compiled network: ordered blocks with allocated parameters."""
+    """Compiled network: ordered blocks with allocated parameters. ``blobs``
+    maps the name of each int8 weight to its QuantizedBlob, whose dequantized
+    values that parameter holds; it is empty for a float network."""
 
     def __init__(self, spec, seed):
         self.spec = spec
         self.seed = seed
         rng = np.random.Generator(np.random.PCG64(seed))
         self.blocks = [_compile_layer(l, rng) for l in spec.layers]
+        self.blobs = {}
         self._probs = None
 
     def parameters(self):
@@ -468,23 +471,28 @@ def compile_spec(spec, seed=0):
 # little-endian values); tag 1, an int8 weight, is (u8 per-channel flag, u32
 # scale count, u64 value count, float64 scales, int8 values).
 
-def dequantize(values, scales, per_channel):
-    """Float64 weights from int8 values and their scales: one per output
-    channel (along the first axis), or one for the whole tensor."""
-    shape = (-1,) + (1,) * (values.ndim - 1) if per_channel else ()
-    return values.astype(np.float64) * scales.reshape(shape)
+@dataclass
+class QuantizedBlob:
+    """An int8 weight as a tag-1 blob stores it."""
+    values: np.ndarray   # int8, original weight shape
+    scales: np.ndarray   # (c_out,) if per_channel (one per first-axis slice), else (1,)
+    per_channel: bool
+
+    def dequantize(self):
+        shape = (-1,) + (1,) * (self.values.ndim - 1) if self.per_channel else ()
+        return self.values.astype(np.float64) * self.scales.reshape(shape)
 
 
-def write_model(net, path, blobs):
-    """Write the network's parameters as tag-0 blobs, except those named in
-    ``blobs`` (int8 ``values``, ``scales`` and a ``per_channel`` flag): tag 1."""
+def save(net, path):
+    """Write the network's parameters as tag-0 blobs, except its int8 weights
+    (those named in ``net.blobs``): tag 1."""
     raw = net.spec.text.encode("utf-8")
     params = net.parameters()
     with open(path, "wb") as fh:
         fh.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(raw)) + raw)
         fh.write(struct.pack("<I", len(params)))
         for name, arr in params:
-            blob = blobs.get(name)
+            blob = net.blobs.get(name)
             if blob is None:
                 payload = np.ascontiguousarray(arr, dtype="<f8").tobytes()
                 fh.write(struct.pack("<BQ", 0, len(payload)) + payload)
@@ -495,11 +503,11 @@ def write_model(net, path, blobs):
                 fh.write(np.ascontiguousarray(blob.scales, dtype="<f8").tobytes() + values)
 
 
-def read_model(path):
-    """Read a model file into a network; returns (network, blobs). Each int8
-    weight is dequantized into the network and kept in ``blobs[name]`` as
-    (values, scales, per_channel). Any size is checked against the bytes left
-    in the file before it is used; a corrupt file raises FormatError."""
+def load(path):
+    """Read a .acnk or .acnk8 model file into a network. Each int8 weight is
+    dequantized into its parameter and kept in ``net.blobs``. Any size is
+    checked against the bytes left in the file before it is used; a corrupt
+    file raises FormatError."""
     with open(path, "rb") as fh:
         data = memoryview(fh.read())
     pos = 0
@@ -533,7 +541,6 @@ def read_model(path):
     params = net.parameters()
     if n_blobs != len(params):
         raise FormatError(f"file has {n_blobs} blobs, spec needs {len(params)}")
-    blobs = {}
     for name, arr in params:
         (tag,) = unpack("<B", name)
         if tag == 0:
@@ -553,22 +560,13 @@ def read_model(path):
                                   f"values, expected {want} and {arr.size}")
             scales = np.frombuffer(take(8 * n_scales, name), dtype="<f8").copy()
             values = np.frombuffer(take(n_values, name), dtype=np.int8).reshape(arr.shape)
-            blobs[name] = (values.copy(), scales, bool(per_channel))
-            arr[...] = dequantize(values, scales, per_channel)
+            blob = net.blobs[name] = QuantizedBlob(values.copy(), scales, bool(per_channel))
+            arr[...] = blob.dequantize()
         else:
             raise FormatError(f"blob {name} has unknown tag {tag}")
     if pos != len(data):
         raise FormatError("trailing bytes after final blob")
-    return net, blobs
-
-
-def save(net, path):
-    write_model(net, path, {})
-
-
-def load(path):
-    """Load a .acnk model, or a .acnk8 one with its int8 weights dequantized."""
-    return read_model(path)[0]
+    return net
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,16 @@
 
 Weights are stored as signed int8 with one positive scale per group
 (whole tensor, or one per output channel for rank >= 2 weights). Biases stay
-at full precision; every other parameter counts as a weight. Inference
-dequantizes and runs the ordinary float kernels: the claim under test is
-weight memory, not integer throughput.
+at full precision; every other parameter counts as a weight. A quantized
+network is an ordinary ``netbuilder.Network``: ``net.blobs`` keeps each int8
+weight as a ``QuantizedBlob`` and the parameter holds its dequantized values,
+so inference runs the ordinary float kernels. The claim under test is weight
+memory, not integer throughput.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,16 +20,6 @@ from .kernels import ConfigError
 
 PER_TENSOR = "per_tensor"
 PER_CHANNEL = "per_channel"
-
-
-@dataclass
-class QuantizedBlob:
-    values: np.ndarray   # int8, original weight shape
-    scales: np.ndarray   # (1,) for per-tensor, (c_out,) for per-channel
-    per_channel: bool
-
-    def dequantize(self):
-        return netbuilder.dequantize(self.values, self.scales, self.per_channel)
 
 
 def _round_half_away(x):
@@ -50,7 +41,7 @@ def quantize_array(arr, mode):
         scales = np.array([maxabs / 127.0 if maxabs > 0 else 1.0])
         q = _round_half_away(arr / scales[0])
     values = np.clip(q, -127, 127).astype(np.int8)
-    return QuantizedBlob(values, scales, per_channel)
+    return netbuilder.QuantizedBlob(values, scales, per_channel)
 
 
 def is_bias(name):
@@ -58,70 +49,32 @@ def is_bias(name):
     return leaf == "b" or leaf.endswith("_b")
 
 
-class QuantizedNetwork:
-    """A network whose weights were replaced by dequantized int8 values.
-
-    ``network`` carries the dequantized float weights, so its forward IS the
-    reference quantized forward; ``blobs`` keeps the int8 payloads for
-    serialization and memory accounting.
-    """
-
-    def __init__(self, network, blobs, mode):
-        self.network = network
-        self.blobs = blobs  # name -> QuantizedBlob, insertion-ordered
-        self.mode = mode
-
-    @property
-    def spec(self):
-        return self.network.spec
-
-    def param_count(self):
-        return self.network.param_count()
-
-    def forward(self, batch):
-        return self.network.forward(batch)
-
-
 def quantize_weights(net, mode=PER_CHANNEL):
     if mode not in (PER_TENSOR, PER_CHANNEL):
         raise ConfigError(f"unknown quantization mode {mode!r}")
-    source = net.network if isinstance(net, QuantizedNetwork) else net
-    qnet = netbuilder.compile_spec(source.spec, seed=source.seed)
-    blobs = {}
+    qnet = netbuilder.compile_spec(net.spec, seed=net.seed)
     params = dict(qnet.parameters())
-    for name, arr in source.parameters():
+    for name, arr in net.parameters():
         if is_bias(name):
             params[name][...] = arr
             continue
-        blob = quantize_array(arr, mode)
-        blobs[name] = blob
+        blob = qnet.blobs[name] = quantize_array(arr, mode)
         params[name][...] = blob.dequantize()
-    return QuantizedNetwork(qnet, blobs, mode)
+    return qnet
 
 
-def weight_memory_bytes(net_or_qnet, bits_per_weight, include_scales=False):
+def weight_memory_bytes(net, bits_per_weight, include_scales=False):
     """ceil(params * bits / 8); optionally adds 4 bytes per stored scale."""
     if bits_per_weight not in (8, 32):
         raise ConfigError(f"bits must be 8 or 32, got {bits_per_weight}")
-    total = net_or_qnet.param_count()
-    nbytes = math.ceil(total * bits_per_weight / 8)
-    if include_scales and isinstance(net_or_qnet, QuantizedNetwork):
-        nbytes += 4 * sum(b.scales.size for b in net_or_qnet.blobs.values())
+    nbytes = math.ceil(net.param_count() * bits_per_weight / 8)
+    if include_scales:
+        nbytes += 4 * sum(b.scales.size for b in net.blobs.values())
     return nbytes
 
 
-# ---------------------------------------------------------------------------
-# Quantized model container: the netbuilder format, with weight blobs stored
-# as tag 1 (int8 values + scales) and biases as tag 0 (float64).
-
-def save_quantized(qnet, path):
-    netbuilder.write_model(qnet.network, path, qnet.blobs)
-
-
-def load_quantized(path):
-    net, raw = netbuilder.read_model(path)
-    blobs = {name: QuantizedBlob(*blob) for name, blob in raw.items()}
-    # scalar weights always store one scale, so any per-channel blob marks
-    # the whole file as per-channel
-    mode = PER_CHANNEL if any(b.per_channel for b in blobs.values()) else PER_TENSOR
-    return QuantizedNetwork(net, blobs, mode)
+# .acnk8 files are netbuilder model files whose int8 weights are tag-1 blobs.
+# The names are bound to the netbuilder functions themselves, not wrapped, so a
+# tracer that wraps module attributes sees one call, not a nested save or load.
+save_quantized = netbuilder.save
+load_quantized = netbuilder.load

@@ -148,9 +148,11 @@ def train(net, dataset, config):
     """Minibatch SGD with momentum. Deterministic given config.seed.
 
     Shuffling uses numpy's PCG64 generator seeded with config.seed, so runs
-    reproduce bitwise.
+    reproduce bitwise. The network's int8 blobs are dropped, since training
+    moves the weights away from them.
     """
     _check_dataset(net, dataset, "train on")
+    net.blobs.clear()
     rng = np.random.Generator(np.random.PCG64(config.seed))
     velocities = {name: np.zeros_like(arr) for name, arr in net.parameters()}
     report = TrainReport()

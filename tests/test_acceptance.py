@@ -528,7 +528,7 @@ def test_criterion_5_analog_digits(digits_split, digits_model, capsys):
 
 def _quantization_checks(net, test_ds, top1):
     qnet = quant.quantize_weights(net, quant.PER_CHANNEL)
-    q_top1, _ = evaluate(qnet.network, test_ds)
+    q_top1, _ = evaluate(qnet, test_ds)
     drop_pp = (top1 - q_top1) * 100.0
     four_x = quant.weight_memory_bytes(net, 32) == 4 * quant.weight_memory_bytes(net, 8)
     again = quant.quantize_weights(qnet, quant.PER_CHANNEL)

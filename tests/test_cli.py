@@ -215,7 +215,8 @@ class TestEvalQuantize:
         assert code == 0
         from vacnet.quant import load_quantized
         qnet = load_quantized(qpath)
-        assert qnet.mode == "per_channel"
+        ranked = [b for b in qnet.blobs.values() if b.values.ndim >= 2]
+        assert ranked and all(b.per_channel for b in ranked)
         assert "4.00x reduction" in capsys.readouterr().out
 
 
@@ -299,6 +300,21 @@ class TestSearchCommand:
             assert cand.spec_hash in line
         audit = (tmp_path / "srch" / "audit.jsonl").read_text()
         assert audit == expected.audit_jsonl()
+
+    def test_training_search_feasible_at_default_bits(self, tmp_path, capsys):
+        # trained candidates are scored as int8 networks, so they meet the
+        # default 8-bit precision constraint
+        img, lab = write_idx_pair(tmp_path)
+        space = {"stem": ["input 1 8 8"], "slots": [["conv k3 s1 p1 c4"]],
+                 "tail": ["gap", "fc 3", "softmax"]}
+        p = tmp_path / "space.json"
+        p.write_text(json.dumps(space))
+        code = cli.main(["search", "--space", str(p), "--budget", "1",
+                         "--tau", "0.01", "--data", img, "--labels", lab,
+                         "--batch", "8", "--lr", "0.05"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert re.search(r"^1\s+[0-9a-f]{12}\s", out, re.M)
 
     def test_search_deterministic(self, tmp_path, capsys):
         p, _, _ = self.make_space(tmp_path)

@@ -224,6 +224,21 @@ class TestSearch:
         assert set(rec) == {"candidate_id", "spec_hash", "top1", "params",
                             "mult_adds", "feasible", "U"}
 
+    def test_repeated_draws_evaluated_once(self):
+        text = "input 1 4 4\nconv k1 c2\ngap\nfc 2\nsoftmax\n"
+        space = SearchSpace(stem=["input 1 4 4"], slots=[["conv k1 c2"]],
+                            tail=["gap", "fc 2", "softmax"])
+        calls = []
+
+        def eval_fn(spec_text):
+            calls.append(spec_text)
+            return {"top1": 0.9, "bits": 8}
+
+        result = search(space, 3, ICFG, PF, eval_fn, seed=0)
+        assert calls == [text]
+        assert [c.candidate_id for c in result.audit] == [0, 1, 2]
+        assert {c.spec_hash for c in result.audit} == {spec_hash(text)}
+
     def test_bad_budget(self):
         texts, metrics = tiny_candidates()
         with pytest.raises(ConfigError):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vacnet import netbuilder as nb
-from vacnet import quant
+from vacnet import quant, trainer
 from vacnet.kernels import ConfigError
 from vacnet.quant import (PER_CHANNEL, PER_TENSOR, load_quantized,
                           quantize_array, quantize_weights,
@@ -88,7 +88,7 @@ class TestQuantizeNetwork:
         qnet = quantize_weights(net, PER_CHANNEL)
         x = np.zeros((1, 1, 8, 8))
         np.testing.assert_allclose(qnet.forward(x),
-                                   qnet.network.forward(x), atol=0)
+                                   qnet.forward(x), atol=0)
 
     def test_biases_not_quantized(self):
         net = make_net()
@@ -96,7 +96,7 @@ class TestQuantizeNetwork:
         for name, arr in net.parameters():
             if quant.is_bias(name):
                 assert name not in qnet.blobs
-                np.testing.assert_array_equal(dict(qnet.network.parameters())[name], arr)
+                np.testing.assert_array_equal(dict(qnet.parameters())[name], arr)
             else:
                 assert name in qnet.blobs
 
@@ -144,7 +144,8 @@ class TestQuantizedFile:
         path = tmp_path / "m.acnk8"
         save_quantized(qnet, path)
         loaded = load_quantized(path)
-        assert loaded.mode == PER_CHANNEL
+        ranked = [b for b in loaded.blobs.values() if b.values.ndim >= 2]
+        assert ranked and all(b.per_channel for b in ranked)
         for name, blob in qnet.blobs.items():
             assert loaded.blobs[name].values.tobytes() == blob.values.tobytes()
             assert loaded.blobs[name].scales.tobytes() == blob.scales.tobytes()
@@ -154,12 +155,35 @@ class TestQuantizedFile:
     @pytest.mark.parametrize("mode", [PER_CHANNEL, PER_TENSOR])
     def test_plain_loader_dequantizes_int8_blobs(self, tmp_path, mode):
         path = tmp_path / "m.acnk8"
-        save_quantized(quantize_weights(make_net(seed=4), mode), path)
-        plain, served = nb.load(path), load_quantized(path)
-        for (name, a), (_, b) in zip(plain.parameters(), served.network.parameters()):
+        qnet = quantize_weights(make_net(seed=4), mode)
+        save_quantized(qnet, path)
+        loaded = nb.load(path)
+        assert loaded.blobs.keys() == qnet.blobs.keys()
+        for name, blob in qnet.blobs.items():
+            got = loaded.blobs[name]
+            assert got.values.dtype == np.int8
+            assert got.values.tobytes() == blob.values.tobytes(), name
+            assert got.scales.tobytes() == blob.scales.tobytes(), name
+            assert got.per_channel == blob.per_channel, name
+        for (name, a), (_, b) in zip(loaded.parameters(), qnet.parameters()):
             assert a.tobytes() == b.tobytes(), name
         x = np.random.default_rng(5).random((3, 1, 8, 8))
-        assert plain.forward(x).tobytes() == served.forward(x).tobytes()
+        assert loaded.forward(x).tobytes() == qnet.forward(x).tobytes()
+
+    def test_training_drops_stale_int8_blobs(self, tmp_path):
+        path = tmp_path / "m.acnk8"
+        save_quantized(quantize_weights(make_net(seed=6), PER_CHANNEL), path)
+        net = load_quantized(path)
+        r = np.random.default_rng(8)
+        data = trainer.Dataset(r.random((4, 1, 8, 8)), r.integers(0, 3, size=4))
+        trainer.train(net, data, trainer.TrainConfig(lr=0.1, batch_size=4, epochs=1))
+        assert net.blobs == {}
+        again = tmp_path / "trained.acnk8"
+        save_quantized(net, again)
+        loaded = load_quantized(again)
+        assert loaded.blobs == {}  # every blob in the file has tag 0
+        for (name, a), (_, b) in zip(loaded.parameters(), net.parameters()):
+            assert a.tobytes() == b.tobytes(), name
 
     @staticmethod
     def patch_blob_header(path, tag, fmt, field, delta):
