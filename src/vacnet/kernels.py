@@ -3,7 +3,7 @@
 All activations and weights are numpy arrays. Activations are rank-4 with
 layout (batch, channels, rows, cols); convolution weights are
 (c_out, c_in/groups, kh, kw). Every op is a pure function: forward ops
-return new arrays, backward ops take the saved forward inputs explicitly.
+return new arrays, backward ops take saved forward inputs or outputs explicitly.
 Training and gradient checking run in float64; float32 is acceptable for
 inference only.
 """
@@ -248,8 +248,10 @@ def relu_forward(x):
     return np.maximum(np.asarray(x), 0.0)
 
 
-def relu_backward(grad_out, saved_input):
-    return np.asarray(grad_out) * (np.asarray(saved_input) > 0)
+def relu_backward(grad_out, saved):
+    """``saved`` may be the ReLU's input or its output: relu(x) > 0 exactly
+    when x > 0 (NaN included), so both give the same mask."""
+    return np.asarray(grad_out) * (np.asarray(saved) > 0)
 
 
 def sigmoid_forward(x):

@@ -12,9 +12,9 @@ The DSL is line-oriented, one directive per line:
     softmax
 
 Options accept either `key:value` or `keyvalue` (``dm4`` == ``dm:4``).
-Comment lines start with '#'. A network must end with exactly one
-gap -> fc -> softmax tail. Channel counts chain automatically: every layer
-reads its input channels from its predecessor.
+A '#' starts a comment that runs to the end of its line. A network must end
+with exactly one gap -> fc -> softmax tail. Channel counts chain
+automatically: every layer reads its input channels from its predecessor.
 """
 
 from __future__ import annotations
@@ -213,8 +213,8 @@ def parse_dsl(text):
         raise ParseError(msg, line, col)
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+        raw = raw.partition("#")[0]
+        if not raw.strip():
             continue
         parts = []
         pos = 0
@@ -319,13 +319,13 @@ def parse_dsl(text):
 # gradients keyed like the parameters ``p``.
 
 def conv_forward(x, p, layer):
-    pre = K.conv2d_forward(x, p["w"], p["b"], layer.spec)
-    return K.relu_forward(pre), (x, pre)
+    y = K.relu_forward(K.conv2d_forward(x, p["w"], p["b"], layer.spec))
+    return y, (x, y)
 
 
 def conv_backward(grad, cache, p, layer):
-    x, pre = cache
-    gx, gw, gb = K.conv2d_backward(K.relu_backward(grad, pre), x, p["w"], layer.spec)
+    x, y = cache
+    gx, gw, gb = K.conv2d_backward(K.relu_backward(grad, y), x, p["w"], layer.spec)
     return gx, {"w": gw, "b": gb}
 
 
@@ -559,6 +559,8 @@ def load(path):
                 raise FormatError(f"blob {name} has {n_scales} scales and {n_values} "
                                   f"values, expected {want} and {arr.size}")
             scales = np.frombuffer(take(8 * n_scales, name), dtype="<f8").copy()
+            if not ((scales > 0) & (scales < np.inf)).all():
+                raise FormatError(f"blob {name} has a scale that is not finite and > 0")
             values = np.frombuffer(take(n_values, name), dtype=np.int8).reshape(arr.shape)
             blob = net.blobs[name] = QuantizedBlob(values.copy(), scales, bool(per_channel))
             arr[...] = blob.dequantize()

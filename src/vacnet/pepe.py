@@ -82,12 +82,10 @@ def pepe_forward(x, p, config):
     if x.shape[1] != config.c_in:
         raise ConfigError(f"input has {x.shape[1]} channels, config expects {config.c_in}")
     acts = [x]
-    pres = []
     for name, spec in config.convs.items():
-        pre = K.conv2d_forward(acts[-1], p[f"{name}_w"], p[f"{name}_b"], spec)
-        pres.append(pre)
-        acts.append(K.relu_forward(pre))
-    cache = {"config": config, "acts": acts, "pres": pres}
+        acts.append(K.relu_forward(
+            K.conv2d_forward(acts[-1], p[f"{name}_w"], p[f"{name}_b"], spec)))
+    cache = {"config": config, "acts": acts}
     return acts[-1], cache
 
 
@@ -95,14 +93,14 @@ def pepe_backward(grad_out, cache, p, config):
     """Returns (grad_input, grads), with grads keyed and ordered like ``p``."""
     if cache.get("config") != config:
         raise IntegrityError("cache was produced by a different configuration")
-    acts, pres = cache["acts"], cache["pres"]
+    acts = cache["acts"]
     grad = np.asarray(grad_out)
     if grad.shape != acts[-1].shape:
         raise IntegrityError(f"grad shape {grad.shape} does not match forward "
                              f"output {acts[-1].shape}")
     grads = {}
-    for (name, spec), act, pre in reversed(list(zip(config.convs.items(), acts, pres))):
-        grad = K.relu_backward(grad, pre)
+    for i, (name, spec) in reversed(list(enumerate(config.convs.items()))):
+        grad = K.relu_backward(grad, acts[i + 1])
         grad, grads[f"{name}_w"], grads[f"{name}_b"] = K.conv2d_backward(
-            grad, act, p[f"{name}_w"], spec)
+            grad, acts[i], p[f"{name}_w"], spec)
     return grad, {name: grads[name] for name in p}

@@ -27,19 +27,16 @@ def _round_half_away(x):
 
 
 def quantize_array(arr, mode):
-    """Quantize one weight tensor. scale = max|w|/127 per group; zero groups
-    get scale 1 so values stay 0 without dividing by zero."""
+    """Quantize one weight tensor: scale = max|w|/127 per group (the whole
+    tensor, or each output channel). A group whose scale comes out 0 (all
+    zeros, or max|w|/127 underflows) gets scale 1, so its values stay 0."""
     arr = np.asarray(arr, dtype=np.float64)
     per_channel = mode == PER_CHANNEL and arr.ndim >= 2
-    if per_channel:
-        flat = arr.reshape(arr.shape[0], -1)
-        maxabs = np.abs(flat).max(axis=1)
-        scales = np.where(maxabs > 0, maxabs / 127.0, 1.0)
+    flat = arr.reshape(arr.shape[0] if per_channel else 1, -1)
+    with np.errstate(under="ignore"):
+        scales = np.abs(flat).max(axis=1, initial=0.0) / 127.0
+        scales[scales == 0] = 1.0
         q = _round_half_away(flat / scales[:, None]).reshape(arr.shape)
-    else:
-        maxabs = float(np.abs(arr).max()) if arr.size else 0.0
-        scales = np.array([maxabs / 127.0 if maxabs > 0 else 1.0])
-        q = _round_half_away(arr / scales[0])
     values = np.clip(q, -127, 127).astype(np.int8)
     return netbuilder.QuantizedBlob(values, scales, per_channel)
 

@@ -135,8 +135,7 @@ def vac_forward(v, p, config):
 
     v_down = _conv(v, p, config, "down")
     q, idx = K.maxpool2d_forward(v_down, (pk, pk), (ps, ps))
-    e_pre = _conv(q, p, config, "embed_grouped")
-    e_act = K.relu_forward(e_pre)
+    e_act = K.relu_forward(_conv(q, p, config, "embed_grouped"))
     k_sig = K.sigmoid_forward(_conv(e_act, p, config, "embed_pointwise"))
     if config.expand_mode == "unpool":
         attn = K.unpool2d_forward(k_sig, idx, v_down.shape)
@@ -153,7 +152,7 @@ def vac_forward(v, p, config):
 
     cache = {
         "config": config, "input": v, "v_down": v_down, "pool_idx": idx,
-        "e_pre": e_pre, "e_act": e_act, "k_sig": k_sig, "attn": attn,
+        "e_act": e_act, "k_sig": k_sig, "attn": attn,
         "gated": gated, "nearest_maps": nearest_maps, "q": q,
     }
     return out, cache
@@ -193,7 +192,7 @@ def vac_backward(grad_out, cache, p, config):
 
     g_kpre = K.sigmoid_backward(g_ksig, cache["k_sig"])
     g_eact = _conv_backward(g_kpre, cache["e_act"], p, config, "embed_pointwise", grads)
-    g_epre = K.relu_backward(g_eact, cache["e_pre"])
+    g_epre = K.relu_backward(g_eact, cache["e_act"])
     g_q = _conv_backward(g_epre, cache["q"], p, config, "embed_grouped", grads)
     g_vdown = g_vdown_f + K.maxpool2d_backward(g_q, cache["pool_idx"], v_down.shape)
     g_v = _conv_backward(g_vdown, v, p, config, "down", grads)

@@ -100,6 +100,21 @@ class TestExitCodes:
         path.write_bytes(bytes(raw))
         assert self.eval_exit_code(tmp_path, path, capsys) == 3
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
+    def test_bad_int8_scale_exit_3(self, tmp_path, capsys, scale):
+        from vacnet import quant
+        path = tmp_path / "m.acnk8"
+        net = nb.compile_spec(nb.parse_dsl(SPEC_TEXT), seed=0)
+        quant.save_quantized(quant.quantize_weights(net), path)
+        raw = bytearray(path.read_bytes())
+        first_blob = 12 + len(SPEC_TEXT) + 4
+        assert raw[first_blob] == 1  # int8: tag B, flag B, scale count I, value count Q
+        struct.pack_into("<d", raw, first_blob + 14, scale)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(nb.FormatError, match="blob 0.conv.w has a scale"):
+            nb.load(path)
+        assert self.eval_exit_code(tmp_path, path, capsys) == 3
+
     @pytest.mark.parametrize("word", [b"\xff\xfe\xfd\xfc", b"cnov"])  # not UTF-8; no parse
     def test_bad_spec_text_exit_3(self, tmp_path, capsys, word):
         path, raw = self.saved_model(tmp_path)

@@ -59,11 +59,37 @@ class TestQuantizeArray:
             e_c = np.abs(quantize_array(arr, PER_CHANNEL).dequantize() - arr).max()
             assert e_c <= e_t + 1e-15
 
+    @pytest.mark.parametrize("mode", [PER_TENSOR, PER_CHANNEL])
+    def test_subnormal_groups_get_positive_scales(self, mode):
+        # max|w|/127 underflows to 0 for the first group, not for the third
+        arr = np.array([[1e-322, 0.0], [0.0, 0.0], [1e-315, -3e-316], [1.0, -0.5]])
+        with np.errstate(all="raise"):
+            blobs = [quantize_array(arr, mode), quantize_array(arr[0], mode)]
+        for blob in blobs:
+            assert (np.isfinite(blob.scales) & (blob.scales > 0)).all(), blob.scales
+        np.testing.assert_array_equal(blobs[1].values, [0, 0])
+        if mode == PER_CHANNEL:
+            np.testing.assert_array_equal(blobs[0].scales[:2], [1.0, 1.0])
+            np.testing.assert_array_equal(blobs[0].values[:2], 0)
+
     def test_round_half_away_from_zero(self):
         # max 2.54 -> scale 0.02, so 0.05/scale = 2.5 exactly
         arr = np.array([0.05, -0.05, 2.54])
         blob = quantize_array(arr, PER_TENSOR)
         np.testing.assert_array_equal(blob.values[:2], [3, -3])
+
+
+def dequantized_reference(net, qnet):
+    """A fresh float network holding ``qnet``'s dequantized blobs and ``net``'s
+    other parameters."""
+    ref = nb.compile_spec(net.spec, seed=0)
+    ref_params = dict(ref.parameters())
+    for name, arr in net.parameters():
+        if name in qnet.blobs:
+            ref_params[name][...] = qnet.blobs[name].dequantize()
+        else:
+            ref_params[name][...] = arr
+    return ref
 
 
 class TestQuantizeNetwork:
@@ -72,23 +98,15 @@ class TestQuantizeNetwork:
         net = make_net()
         qnet = quantize_weights(net, mode)
         x = np.random.default_rng(1).random((3, 1, 8, 8))
-        got = qnet.forward(x)
-        # reference: write dequantized blobs into a fresh network, run floats
-        ref = nb.compile_spec(net.spec, seed=0)
-        ref_params = dict(ref.parameters())
-        for name, arr in net.parameters():
-            if name in qnet.blobs:
-                ref_params[name][...] = qnet.blobs[name].dequantize()
-            else:
-                ref_params[name][...] = arr
-        np.testing.assert_allclose(got, ref.forward(x), atol=1e-12)
+        np.testing.assert_allclose(qnet.forward(x),
+                                   dequantized_reference(net, qnet).forward(x), atol=1e-12)
 
     def test_zero_input_case(self):
         net = make_net(seed=3)
         qnet = quantize_weights(net, PER_CHANNEL)
         x = np.zeros((1, 1, 8, 8))
         np.testing.assert_allclose(qnet.forward(x),
-                                   qnet.forward(x), atol=0)
+                                   dequantized_reference(net, qnet).forward(x), atol=0)
 
     def test_biases_not_quantized(self):
         net = make_net()
