@@ -4,8 +4,10 @@ All activations and weights are numpy arrays. Activations are rank-4 with
 layout (batch, channels, rows, cols); convolution weights are
 (c_out, c_in/groups, kh, kw). Every op is a pure function: forward ops
 return new arrays, backward ops take saved forward inputs or outputs explicitly.
-Training and gradient checking run in float64; float32 is acceptable for
-inference only.
+Forward ops keep their input's dtype, except ``softmax`` and the losses,
+which compute in float64. Training and gradient checking run in float64;
+``Network.predict`` runs the forward ops in float32 and gets float64
+probabilities from ``softmax``.
 """
 
 from __future__ import annotations
@@ -256,7 +258,7 @@ def relu_backward(grad_out, saved):
 
 def sigmoid_forward(x):
     # exp(-|x|) never overflows; 1/(1+e) for x >= 0 and e/(1+e) below zero.
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
@@ -309,12 +311,17 @@ def softmax(logits):
     return p[0] if squeeze else p
 
 
-def cross_entropy(probs, labels, eps=1e-300):
-    """Mean negative log-likelihood of the true classes."""
+def nll(probs, labels, eps=1e-300):
+    """Negative log-likelihood of each row's true class."""
     p = np.atleast_2d(np.asarray(probs, dtype=np.float64))
     labels = np.atleast_1d(np.asarray(labels))
     picked = p[np.arange(p.shape[0]), labels]
-    return float(-np.log(np.maximum(picked, eps)).mean())
+    return -np.log(np.maximum(picked, eps))
+
+
+def cross_entropy(probs, labels, eps=1e-300):
+    """Mean negative log-likelihood of the true classes."""
+    return float(nll(probs, labels, eps).mean())
 
 
 def softmax_xent_backward(probs, labels):

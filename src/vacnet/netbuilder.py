@@ -372,6 +372,11 @@ class Block:
         out, self._cache = globals()[f"{self.kind}_forward"](x, self.p, self.layer)
         return out
 
+    def predict(self, x):
+        """The same forward on float32 copies of ``p``; its cache is dropped."""
+        p = {name: arr.astype(np.float32) for name, arr in self.p.items()}
+        return globals()[f"{self.kind}_forward"](x, p, self.layer)[0]
+
     def backward(self, grad):
         gx, self.grads = globals()[f"{self.kind}_backward"](grad, self._cache, self.p,
                                                             self.layer)
@@ -394,6 +399,12 @@ class ResidualBlock:
             y = c.forward(y)
         return x + y
 
+    def predict(self, x):
+        y = x
+        for c in self.children:
+            y = c.predict(y)
+        return x + y
+
     def backward(self, grad):
         g = grad
         for c in reversed(self.children):
@@ -412,6 +423,14 @@ def _compile_layer(layer, rng):
     return (ResidualBlock if layer.kind == "res" else Block)(layer, rng)
 
 
+class _Zeros:
+    """The generator of a network compiled with no seed: weights start at 0."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.zeros(size)
+
+
 class Network:
     """Compiled network: ordered blocks with allocated parameters. ``blobs``
     maps the name of each int8 weight to its QuantizedBlob, whose dequantized
@@ -420,7 +439,7 @@ class Network:
     def __init__(self, spec, seed):
         self.spec = spec
         self.seed = seed
-        rng = np.random.Generator(np.random.PCG64(seed))
+        rng = _Zeros if seed is None else np.random.Generator(np.random.PCG64(seed))
         self.blocks = [_compile_layer(l, rng) for l in spec.layers]
         self.blobs = {}
         self._probs = None
@@ -436,17 +455,27 @@ class Network:
         return sum(arr.size for _, arr in self.parameters())
 
     def forward(self, x):
-        x = np.asarray(x, dtype=np.float64)
+        """The float64 training forward: each block caches what its backward
+        needs, and the probabilities are kept for ``loss_and_backward``."""
+        self._probs = self._run(np.asarray(x, dtype=np.float64), "forward")
+        return self._probs
+
+    def predict(self, x):
+        """Inference: the same blocks in float32 (input and parameters cast),
+        storing no cache and leaving every ``forward`` state as it was.
+        Softmax returns float64 probabilities."""
+        return self._run(np.asarray(x, dtype=np.float32), "predict")
+
+    def _run(self, x, method):
         c, h, w = self.spec.input_shape
         if x.ndim != 4 or x.shape[1:] != (c, h, w):
             raise ShapeError(f"batch shape {x.shape} does not match "
                              f"network input (n, {c}, {h}, {w})")
         for i, b in enumerate(self.blocks):
             try:
-                x = b.forward(x)
+                x = getattr(b, method)(x)
             except K.NonFiniteError as e:
                 raise K.NonFiniteError(f"block {i} ({b.kind}): {e}") from e
-        self._probs = x
         return x
 
     def loss_and_backward(self, labels):
@@ -461,6 +490,8 @@ class Network:
 
 
 def compile_spec(spec, seed=0):
+    """Weights drawn from PCG64(seed); ``seed=None`` draws nothing and leaves
+    them at zero, for a caller that overwrites every parameter."""
     return Network(spec, seed)
 
 
@@ -537,7 +568,7 @@ def load(path):
     if n_params > len(data) - pos:  # even int8 blobs need a byte per value
         raise FormatError(f"spec needs {n_params} values, file has "
                           f"{len(data) - pos} bytes left")
-    net = compile_spec(spec, seed=0)
+    net = compile_spec(spec, seed=None)
     params = net.parameters()
     if n_blobs != len(params):
         raise FormatError(f"file has {n_blobs} blobs, spec needs {len(params)}")

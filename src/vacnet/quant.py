@@ -49,7 +49,7 @@ def is_bias(name):
 def quantize_weights(net, mode=PER_CHANNEL):
     if mode not in (PER_TENSOR, PER_CHANNEL):
         raise ConfigError(f"unknown quantization mode {mode!r}")
-    qnet = netbuilder.compile_spec(net.spec, seed=net.seed)
+    qnet = netbuilder.compile_spec(net.spec, seed=None)
     params = dict(qnet.parameters())
     for name, arr in net.parameters():
         if is_bias(name):

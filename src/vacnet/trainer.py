@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import ConfigError, NonFiniteError
+from .kernels import ConfigError, NonFiniteError, nll
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -181,15 +182,16 @@ def train(net, dataset, config):
 
 
 def evaluate(net, dataset, batch_size=256):
-    """Top-1 accuracy (argmax ties -> lowest class index) and mean loss."""
+    """Top-1 accuracy (argmax ties -> lowest class index) and mean loss, from
+    ``net.predict``. The per-image losses are summed exactly (``math.fsum``),
+    so the mean does not depend on the order of the images."""
     _check_dataset(net, dataset, "evaluate")
-    from .kernels import cross_entropy
     correct = 0
-    loss_sum = 0.0
+    losses = []
     for start in range(0, len(dataset), batch_size):
         sl = slice(start, start + batch_size)
-        probs = net.forward(dataset.images[sl])
+        probs = net.predict(dataset.images[sl])
         labels = dataset.labels[sl]
         correct += int((probs.argmax(axis=1) == labels).sum())
-        loss_sum += cross_entropy(probs, labels) * len(labels)
-    return correct / len(dataset), loss_sum / len(dataset)
+        losses.extend(nll(probs, labels))
+    return correct / len(dataset), math.fsum(losses) / len(dataset)

@@ -365,6 +365,13 @@ class TestSigmoid:
             got = K.sigmoid_forward(np.array([-1000.0, 1000.0]))
         np.testing.assert_array_equal(got, [0.0, 1.0])
 
+    def test_float32_stays_float32(self):
+        x = (rng(1).standard_normal((2, 1, 3, 50)) * 10).astype(np.float32)
+        got = K.sigmoid_forward(x)
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, self.split_by_sign(x.astype(np.float64)),
+                                   rtol=1e-6, atol=0)
+
 
 class TestGap:
     def test_constant(self):

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from oracles import MulCounter, assert_close_grad, naive_network_forward, numeric_grad
 from vacnet import netbuilder as nb
+from vacnet import quant
 from vacnet.complexity import count_mult_adds
-from vacnet.kernels import NonFiniteError
+from vacnet.kernels import NonFiniteError, ShapeError
 from vacnet.netbuilder import FormatError, ParseError
 from vacnet.pepe import PepeConfig
 from vacnet.vac import VacConfig
@@ -369,6 +370,89 @@ class TestForwardBackward:
                 assert not {"pre", "pres", "e_pre"} & b._cache.keys()
         assert {"conv", "vac", "pepe"} <= {b.kind for b in blocks}
 
+
+def leaf_blocks(net):
+    return [c for b in net.blocks for c in getattr(b, "children", [b])]
+
+
+class TestPredict:
+    @settings(max_examples=60, deadline=None)
+    @given(text=dsl_texts())
+    def test_matches_naive_oracle_in_float32(self, text):
+        try:
+            spec = nb.parse_dsl(text)
+        except ParseError:
+            assume(False)
+        net = nb.compile_spec(spec, seed=0)
+        x = np.random.default_rng(0).random((4, *spec.input_shape))
+        want = naive_network_forward(spec, dict(net.parameters()), x, MulCounter())
+        np.testing.assert_allclose(net.predict(x), want, rtol=0, atol=1e-5)
+
+    def test_float64_rows_and_forward_state_untouched(self):
+        net = nb.compile_spec(nb.parse_dsl(RES), seed=5)
+        r = np.random.default_rng(5)
+        x, labels = r.random((3, 2, 8, 8)), np.array([0, 2, 1])
+        net.forward(x)
+        loss = net.loss_and_backward(labels)
+        blocks, probs = leaf_blocks(net), net._probs
+        caches, grads = [b._cache for b in blocks], dict(net.gradients())
+        got = net.predict(r.random((4, 2, 8, 8)))
+        assert got.dtype == np.float64 and got.shape == (4, 3)
+        np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert net._probs is probs
+        assert all(b._cache is c for b, c in zip(blocks, caches))
+        assert all(a is b for (_, a), b in zip(net.gradients(), grads.values()))
+        # the backward still runs on the last forward's caches
+        assert net.loss_and_backward(labels) == loss
+        for name, g in net.gradients():
+            assert g.tobytes() == grads[name].tobytes()
+
+    def test_every_block_pass_sees_float32(self, monkeypatch):
+        seen = []
+        for kind in ("conv", "vac", "pepe", "gap", "fc", "softmax"):
+            def spy(x, p, layer, run=getattr(nb, f"{kind}_forward"), kind=kind):
+                out, cache = run(x, p, layer)
+                seen.append((kind, x.dtype, {a.dtype for a in p.values()}, out.dtype))
+                return out, cache
+            monkeypatch.setattr(nb, f"{kind}_forward", spy)
+        spec = nb.reference_spec("attendnet-micro-a")
+        net = nb.compile_spec(spec)
+        net.predict(np.random.default_rng(0).random((2, *spec.input_shape)))
+        assert {kind for kind, *_ in seen} == {"conv", "vac", "pepe", "gap", "fc", "softmax"}
+        f32 = np.dtype(np.float32)
+        for kind, x_dtype, p_dtypes, out_dtype in seen:
+            assert x_dtype == f32 and p_dtypes <= {f32}, kind
+            assert out_dtype == (np.float64 if kind == "softmax" else f32), kind
+
+    def test_non_finite_input_names_block(self):
+        net = nb.compile_spec(nb.parse_dsl(TINY), seed=0)
+        x = np.zeros((1, 1, 28, 28))
+        x[0, 0, 3, 3] = np.nan
+        with pytest.raises(NonFiniteError, match=r"block 1 \(vac\): vac input"):
+            net.predict(x)
+
+    def test_bad_batch_shape(self):
+        net = nb.compile_spec(nb.parse_dsl(TINY), seed=0)
+        with pytest.raises(ShapeError):
+            net.predict(np.zeros((1, 3, 28, 28)))
+
+    def test_int8_batch_256_keeps_no_cache(self):
+        # the float64 forward, which keeps every cache, peaks at 75 MiB here
+        spec = nb.reference_spec("attendnet-micro-a")
+        net = quant.quantize_weights(nb.compile_spec(spec))
+        x = np.random.default_rng(0).random((256, *spec.input_shape))
+        net.predict(x)  # warm up the tap tables and conv specs
+        tracemalloc.start()
+        try:
+            net.predict(x)
+            left, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2**20, f"{peak / 2**20:.2f} MiB peak"
+        # numpy's own small-object caches may keep about 1 KiB
+        assert left <= 2**16, f"{left} bytes left by predict"
+
+
 class TestSaveLoad:
     def test_roundtrip_bitwise(self, tmp_path):
         net = nb.compile_spec(nb.parse_dsl(RES), seed=9)
@@ -380,6 +464,17 @@ class TestSaveLoad:
             assert pa.tobytes() == pl.tobytes()
         x = np.random.default_rng(3).random((2, 2, 8, 8))
         np.testing.assert_array_equal(net.forward(x), loaded.forward(x))
+
+    def test_load_draws_no_weights(self, tmp_path, monkeypatch):
+        net = nb.compile_spec(nb.parse_dsl(RES), seed=9)
+        nb.save(net, tmp_path / "m.acnk")
+
+        def no_generator(*args):
+            raise AssertionError("load drew weights it overwrites")
+        monkeypatch.setattr(np.random, "PCG64", no_generator)
+        loaded = nb.load(tmp_path / "m.acnk")
+        for (_, pa), (_, pl) in zip(net.parameters(), loaded.parameters()):
+            assert pa.tobytes() == pl.tobytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.acnk"

@@ -131,6 +131,17 @@ class TestQuantizeNetwork:
         with pytest.raises(ConfigError):
             quantize_weights(make_net(), "int4")
 
+    def test_draws_no_weights(self, monkeypatch):
+        net = make_net(seed=5)
+        want = quantize_weights(net, PER_CHANNEL)
+
+        def no_generator(*args):
+            raise AssertionError("quantize_weights drew weights it overwrites")
+        monkeypatch.setattr(np.random, "PCG64", no_generator)
+        got = quantize_weights(net, PER_CHANNEL)
+        for (_, a), (_, b) in zip(want.parameters(), got.parameters()):
+            assert a.tobytes() == b.tobytes()
+
 
 class TestWeightMemory:
     def test_exact_4x_reduction(self):

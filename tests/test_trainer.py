@@ -182,6 +182,12 @@ class TestEvaluate:
         perm = np.random.default_rng(0).permutation(25)
         assert evaluate(net, ds) == evaluate(net, ds.subset(perm))
 
+    def test_runs_cache_free_predict(self):
+        net = nb.compile_spec(nb.parse_dsl(FC_ONLY), seed=3)
+        evaluate(net, toy_dataset(n=25, seed=2))
+        assert net._probs is None
+        assert all(b._cache is None for b in net.blocks)
+
     def test_empty_rejected(self):
         net = nb.compile_spec(nb.parse_dsl(FC_ONLY), seed=0)
         with pytest.raises(ConfigError):
