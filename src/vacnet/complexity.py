@@ -74,6 +74,8 @@ def count_mult_adds(spec, input_shape=None, bits=32, count_bias_adds=False):
     """Per-layer and total accounting for one forward pass of a single sample."""
     if not isinstance(spec, NetworkSpec):
         raise ConfigError("count_mult_adds expects a NetworkSpec")
+    if bits < 1:
+        raise ConfigError(f"bits must be >= 1, got {bits}")
     input_shape = tuple(spec.input_shape if input_shape is None else input_shape)
     if input_shape[0] != spec.input_shape[0]:
         raise ConfigError(f"input shape {input_shape} disagrees with spec "
@@ -116,8 +118,10 @@ def compare(models):
         raise ConfigError("compare needs at least two models")
     rows = [m if isinstance(m, ModelRow) else ModelRow(*m) for m in models]
     for r in rows:
-        if r.params <= 0 or r.mult_adds <= 0:
-            raise ConfigError(f"{r.name}: params and mult-adds must be positive")
+        if not (0 < r.params < math.inf and 0 < r.mult_adds < math.inf
+                and 1 <= r.bits < math.inf):
+            raise ConfigError(f"{r.name}: params and mult-adds must be finite and > 0, "
+                              "and bits finite and >= 1")
     entries = []
     for a in rows:
         for b in rows:

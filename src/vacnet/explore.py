@@ -50,8 +50,8 @@ class PerformanceFunction:
     gamma: float = 0.5   # mult-add exponent
 
     def __post_init__(self):
-        if min(self.kappa, self.beta, self.gamma) < 0:
-            raise ConfigError("performance exponents must be >= 0")
+        if not all(0 <= e < math.inf for e in (self.kappa, self.beta, self.gamma)):
+            raise ConfigError("performance exponents must be finite and >= 0")
 
 
 def score(top1, params, mult_adds, pf):

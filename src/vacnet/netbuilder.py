@@ -3,22 +3,29 @@
 The DSL is line-oriented, one directive per line:
 
     input C H W
-    conv k3 s1 p1 c8 [g1]
-    vac dm4 e1:8 e2:4 um8 [pool2] [ps2] [ek3] [g1] [expand:unpool|nearest] [spc0|1]
+    conv c8 [k1] [s1] [p0|same] [g1]
+    vac dm4 e1:8 e2:4 um8 [pool2] [ps<pool>] [ek3] [g1] [expand:unpool|nearest] [spc0|1]
     pepe p1:8 e1:16 p2:8 e2:32 [k3] [s1]
-    res{ ... }res
+    res{
+    ...
+    }res
     gap
     fc 10
     softmax
 
-Options accept either `key:value` or `keyvalue` (``dm4`` == ``dm:4``).
-A '#' starts a comment that runs to the end of its line. A network must end
-with exactly one gap -> fc -> softmax tail. Channel counts chain
+``OPTIONS`` gives each option of conv, vac and pepe with its default, or
+REQUIRED. Options come in any order, once each, as either `key:value` or
+`keyvalue` (``dm4`` == ``dm:4``). ``ARG_COUNTS`` gives how many positive
+integers each other directive takes, so ``res{`` and ``}res`` stand on lines
+of their own. A '#' starts a comment that runs to the end of its line. A
+network starts with one input line and ends with ``TAIL``: gap, fc and
+softmax, once each, in that order, at top level. Channel counts chain
 automatically: every layer reads its input channels from its predecessor.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
 
@@ -140,25 +147,19 @@ class NetworkSpec:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_OPTION_KEYS = {
-    "conv": ("k", "s", "p", "c", "g"),
-    "vac": ("dm", "e1", "e2", "um", "pool", "ps", "ek", "g", "expand", "spc"),
-    "pepe": ("p1", "e1", "p2", "e2", "k", "s"),
+REQUIRED = object()  # an option a directive cannot do without
+
+# Each configurable directive's options, key -> default. ``ps`` defaults to
+# None, which stands for the value of ``pool``.
+OPTIONS = {
+    "conv": {"k": 1, "s": 1, "p": 0, "c": REQUIRED, "g": 1},
+    "vac": {"dm": REQUIRED, "e1": REQUIRED, "e2": REQUIRED, "um": REQUIRED, "pool": 2,
+            "ps": None, "ek": 3, "g": 1, "expand": "unpool", "spc": 0},
+    "pepe": {"p1": REQUIRED, "e1": REQUIRED, "p2": REQUIRED, "e2": REQUIRED, "k": 3, "s": 1},
 }
-_REQUIRED_KEYS = {"conv": ("c",), "vac": ("dm", "e1", "e2", "um"),
-                  "pepe": ("p1", "e1", "p2", "e2")}
-
-
-def _split_option(token, keys, line, col):
-    if ":" in token:
-        key, _, value = token.partition(":")
-        if key not in keys:
-            raise ParseError(f"unknown option {key!r}", line, col)
-        return key, value
-    for key in sorted(keys, key=len, reverse=True):
-        if token.startswith(key) and len(token) > len(key):
-            return key, token[len(key):]
-    raise ParseError(f"cannot parse option {token!r}", line, col)
+# How many positive integers each other directive takes.
+ARG_COUNTS = {"input": 3, "res{": 0, "}res": 0, "gap": 0, "fc": 1, "softmax": 0}
+TAIL = ("gap", "fc", "softmax")
 
 
 def _int_value(key, value, line, col):
@@ -168,146 +169,121 @@ def _int_value(key, value, line, col):
         raise ParseError(f"option {key!r} needs an integer, got {value!r}", line, col)
 
 
-def _parse_options(directive, tokens, line):
-    keys = _OPTION_KEYS[directive]
+def _parse_options(word, tokens, line, col):
+    """The options of the ``word`` directive at ``line``, ``col``, from its
+    (token, column) pairs, as key -> value with every default filled in."""
+    table = OPTIONS[word]
     opts = {}
-    for token, col in tokens:
-        key, value = _split_option(token, keys, line, col)
-        if key in opts:
-            raise ParseError(f"duplicate option {key!r}", line, col)
-        if key in ("expand",):
-            opts[key] = value
-        elif key == "p" and value == "same":
-            opts[key] = "same"
+    for token, tcol in tokens:
+        if ":" in token:
+            key, _, value = token.partition(":")
+            if key not in table:
+                raise ParseError(f"unknown option {key!r}", line, tcol)
         else:
-            opts[key] = _int_value(key, value, line, col)
-    return opts
+            key = max((k for k in table if token.startswith(k) and len(token) > len(k)),
+                      key=len, default=None)
+            if key is None:
+                raise ParseError(f"cannot parse option {token!r}", line, tcol)
+            value = token[len(key):]
+        if key in opts:
+            raise ParseError(f"duplicate option {key!r}", line, tcol)
+        keep_text = isinstance(table[key], str) or (key == "p" and value == "same")
+        opts[key] = value if keep_text else _int_value(key, value, line, tcol)
+    for key, default in table.items():
+        if default is REQUIRED and key not in opts:
+            raise ParseError(f"{word} requires option {key!r}", line, col)
+    return {**table, **opts}
 
 
 def _configured_layer(word, o, c_in):
     """The conv, vac or pepe layer that options ``o`` describe, reading c_in channels."""
     if word == "conv":
-        k, s, p = o.get("k", 1), o.get("s", 1), o.get("p", 0)
-        p = k // 2 if p == "same" else p
+        k, s = o["k"], o["s"]
+        p = k // 2 if o["p"] == "same" else o["p"]
         return ConvLayer(ConvSpec(c_in, o["c"], kernel=(k, k), stride=(s, s),
-                                  padding=(p, p), groups=o.get("g", 1)))
+                                  padding=(p, p), groups=o["g"]))
     if word == "vac":
         return VacConfig(
             c_in=c_in, c_down=o["dm"], e1=o["e1"], e2=o["e2"], c_up=o["um"],
-            pool=(o.get("pool", 2), o.get("ps", o.get("pool", 2))),
-            embed_kernel=o.get("ek", 3), embed_groups=o.get("g", 1),
-            per_channel_scale=bool(o.get("spc", 0)), expand_mode=o.get("expand", "unpool"))
+            pool=(o["pool"], o["pool"] if o["ps"] is None else o["ps"]),
+            embed_kernel=o["ek"], embed_groups=o["g"],
+            per_channel_scale=bool(o["spc"]), expand_mode=o["expand"])
     return PepeConfig(c_in=c_in, p1=o["p1"], e1=o["e1"], p2=o["p2"], e2=o["e2"],
-                      dw_kernel=o.get("k", 3), stride=o.get("s", 1))
+                      dw_kernel=o["k"], stride=o["s"])
 
 
 def parse_dsl(text):
     """Parse DSL text into a validated NetworkSpec."""
     input_shape = shape = None
-    layers = []
-    stack = [layers]
-    res_open = []  # (line, shape) of each open 'res{'
-    tail = []  # seen tail directives, in order
+    stack = [[]]  # the network's layers, then the body of each open 'res{'
+    opened = []  # (line, shape) of each open 'res{'
+    tail = 0  # how many of TAIL have been read
+    tail_rule = "network must end with gap, fc, softmax: once each, in order, at top level"
 
-    def err(msg, line, col=1):
-        raise ParseError(msg, line, col)
+    def fail(message):  # at the directive being read
+        raise ParseError(message, line_no, col)
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        raw = raw.partition("#")[0]
-        if not raw.strip():
+        tokens = [(m.group(), m.start() + 1)
+                  for m in re.finditer(r"\S+", raw.partition("#")[0])]
+        if not tokens:
             continue
-        parts = []
-        pos = 0
-        for tok in raw.split():
-            col = raw.index(tok, pos) + 1
-            pos = col + len(tok) - 1
-            parts.append((tok, col))
-        word, wcol = parts[0]
-        args = parts[1:]
-
-        if word != "input" and input_shape is None:
-            err("first directive must be 'input C H W'", line_no, wcol)
-        if tail and word not in ("fc", "softmax", "gap"):
-            err(f"{word!r} may not follow the gap/fc/softmax tail", line_no, wcol)
+        (word, col), args = tokens[0], tokens[1:]
+        if (word == "input") != (input_shape is None):
+            fail("a network starts with one 'input C H W' line")
+        if word not in OPTIONS and word not in ARG_COUNTS:
+            fail(f"unknown directive {word!r}")
+        if word in TAIL or tail:
+            if tail == len(TAIL) or word != TAIL[tail] or len(stack) > 1:
+                fail(tail_rule)
+            tail += 1
+        if word not in OPTIONS:
+            if len(args) != ARG_COUNTS[word]:
+                fail(f"{word!r} takes {ARG_COUNTS[word]} argument(s), got {len(args)}")
+            nums = [_int_value(word, arg, line_no, acol) for arg, acol in args]
+            if min(nums, default=1) < 1:
+                fail(f"{word!r} arguments must be >= 1")
 
         if word == "input":
-            if input_shape is not None:
-                err("duplicate 'input' directive", line_no, wcol)
-            if len(args) != 3:
-                err("'input' takes exactly three integers: C H W", line_no, wcol)
-            c, h, w = (_int_value("input", a, line_no, col) for a, col in args)
-            if min(c, h, w) < 1:
-                err("input dimensions must be >= 1", line_no, wcol)
-            input_shape = shape = (c, h, w)
+            input_shape = shape = tuple(nums)
             continue
-
         if word == "res{":
             stack.append([])
-            res_open.append((line_no, shape))
+            opened.append((line_no, shape))
             continue
-
         if word == "}res":
-            if len(stack) == 1:
-                err("'}res' without matching 'res{'", line_no, wcol)
+            if not opened:
+                fail("'}res' without matching 'res{'")
             body = stack.pop()
-            open_line, open_shape = res_open.pop()
+            open_line, open_shape = opened.pop()
             if not body:
-                err("empty residual group", line_no, wcol)
+                fail("empty residual group")
             if shape != open_shape:
-                err(f"residual group opened at line {open_line} must preserve shape: "
-                    f"({','.join(map(str, open_shape))}) vs ({','.join(map(str, shape))})",
-                    line_no, wcol)
+                fail(f"residual group opened at line {open_line} must preserve shape: "
+                     f"({','.join(map(str, open_shape))}) vs ({','.join(map(str, shape))})")
             stack[-1].append(ResidualGroup(tuple(body)))
             continue
 
-        if word in _OPTION_KEYS:
-            opts = _parse_options(word, args, line_no)
-            for req in _REQUIRED_KEYS[word]:
-                if req not in opts:
-                    err(f"{word} requires option {req!r}", line_no, wcol)
-        elif word == "gap":
-            if len(stack) > 1:
-                err("tail layers may not sit inside a residual group", line_no, wcol)
-            if tail:
-                err("duplicate 'gap'", line_no, wcol)
-            layer = GapLayer()
-        elif word == "fc":
-            if tail != ["gap"]:
-                err("'fc' must directly follow 'gap'", line_no, wcol)
-            if len(args) != 1:
-                err("'fc' takes exactly one integer", line_no, wcol)
-            out = _int_value("fc", args[0][0], line_no, args[0][1])
-            if out < 1:
-                err("fc output size must be >= 1", line_no, wcol)
-            layer = FcLayer(c_in=shape[0], out=out)
-        elif word == "softmax":
-            if tail != ["gap", "fc"]:
-                err("'softmax' must directly follow 'fc'", line_no, wcol)
-            layer = SoftmaxLayer()
-        else:
-            err(f"unknown directive {word!r}", line_no, wcol)
-
         try:
-            if word in _OPTION_KEYS:
-                layer = _configured_layer(word, opts, shape[0])
+            if word in OPTIONS:
+                layer = _configured_layer(word, _parse_options(word, args, line_no, col),
+                                          shape[0])
+            elif word == "fc":
+                layer = FcLayer(c_in=shape[0], out=nums[0])
+            else:
+                layer = GapLayer() if word == "gap" else SoftmaxLayer()
             shape = layer.out_shape(*shape)
         except (ConfigError, ShapeError) as e:
-            err(str(e), line_no, wcol)
-        if layer.kind in ("gap", "fc", "softmax"):
-            tail.append(layer.kind)
+            fail(str(e))
         stack[-1].append(layer)
 
     if input_shape is None:
         raise ParseError("missing 'input' directive", 1)
-    if res_open:
-        raise ParseError("unclosed 'res{' group", res_open[-1][0])
-    if tail != ["gap", "fc", "softmax"]:
-        missing = [t for t in ("gap", "fc", "softmax") if t not in tail]
-        raise ParseError(
-            f"network must end with gap -> fc -> softmax (missing: {', '.join(missing)})",
-            len(text.splitlines()) or 1)
-
-    return NetworkSpec(input_shape=input_shape, layers=tuple(layers),
+    if opened:
+        raise ParseError("unclosed 'res{' group", opened[-1][0])
+    if tail < len(TAIL):
+        raise ParseError(tail_rule, len(text.splitlines()) or 1)
+    return NetworkSpec(input_shape=input_shape, layers=tuple(stack[0]),
                        class_count=shape[0], text=text)
 
 

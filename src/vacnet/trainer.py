@@ -57,8 +57,10 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        if not 0 <= self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
+        if not math.isfinite(self.momentum):
+            raise ConfigError(f"momentum must be finite, got {self.momentum}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:

@@ -146,8 +146,8 @@ def vac_forward(v, p, config):
         attn = k_sig[:, :, rows[:, None], cols[None, :]]
         nearest_maps = (rows, cols)
 
-    s = p["scale"] if p["scale"].ndim == 0 else p["scale"][None, :, None, None]
-    gated = v_down * attn * s
+    gated = v_down * attn
+    gated *= p["scale"].reshape(-1, 1, 1)  # in place: a broadcast product allocates
     out = _conv(gated, p, config, "up")
 
     cache = {
@@ -175,13 +175,14 @@ def vac_backward(grad_out, cache, p, config):
     grads = {}
     g_gated = _conv_backward(grad_out, cache["gated"], p, config, "up", grads)
 
-    s = p["scale"] if p["scale"].ndim == 0 else p["scale"][None, :, None, None]
-    g_vdown_f = g_gated * attn * s
-    g_attn = g_gated * v_down * s
-    if p["scale"].ndim == 0:
-        grads["scale"] = np.asarray((g_gated * v_down * attn).sum())
-    else:
-        grads["scale"] = (g_gated * v_down * attn).sum(axis=(0, 2, 3))
+    s = p["scale"].reshape(-1, 1, 1)
+    g_vdown_f = g_gated * attn
+    g_vdown_f *= s
+    g_attn = g_gated * v_down
+    g_attn *= s
+    # a scalar scale keeps a plain sum; a per-channel one of size 1 keeps shape (1,)
+    axes = (0, 2, 3) if p["scale"].ndim else None
+    grads["scale"] = np.asarray((g_gated * v_down * attn).sum(axis=axes))
 
     if config.expand_mode == "unpool":
         g_ksig = K.unpool2d_backward(g_attn, cache["pool_idx"])

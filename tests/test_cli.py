@@ -139,6 +139,17 @@ class TestExitCodes:
         assert code == 2
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"),
+                                             ("--momentum", "nan")])
+    def test_non_finite_train_setting_exit_2(self, tmp_path, spec_file, capsys, flag, value):
+        img, lab = write_idx_pair(tmp_path)
+        out = tmp_path / "o"
+        code = cli.main(["train", "--spec", spec_file, "--data", img, "--labels", lab,
+                         flag, value, "--out", str(out)])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_diverging_train_exit_3_names_block(self, tmp_path, capsys):
         # saturated images at lr 1000: activations overflow within a few steps
@@ -256,6 +267,20 @@ class TestCountCompare:
                          "--input-shape", "a,b,c"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: --input-shape")
+
+    @pytest.mark.parametrize("bits", ["-8", "0"])
+    def test_count_bits_below_one_exit_2(self, capsys, bits):
+        code = cli.main(["count", "--spec", "attendnet-micro-a", "--bits", bits])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: bits must be >= 1, got {bits}\n"
+
+    @pytest.mark.parametrize("row", ["b,1,2,0", "b,nan,2,8", "b,1,inf,8"])
+    def test_compare_impossible_row_exit_2(self, tmp_path, capsys, row):
+        p = tmp_path / "rows.csv"
+        p.write_text(f"name,params,mult_adds,bits\na,1,2,32\n{row}\n")
+        code = cli.main(["compare", "--csv", str(p)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: b: params and mult-adds")
 
     def test_compare_prints_published_pairs(self, tmp_path, capsys):
         p = tmp_path / "rows.csv"

@@ -79,6 +79,12 @@ class TestScore:
         with pytest.raises(ConfigError):
             PerformanceFunction(kappa=-1)
 
+    @pytest.mark.parametrize("kwargs", [{"kappa": math.nan}, {"beta": math.nan},
+                                        {"gamma": math.inf}])
+    def test_non_finite_exponent_rejected(self, kwargs):
+        with pytest.raises(ConfigError, match="finite"):
+            PerformanceFunction(**kwargs)
+
 
 class TestSearchSpace:
     def test_from_json_roundtrip(self):

@@ -128,6 +128,42 @@ class TestParse:
             spec = nb.reference_spec(name)
             assert spec.class_count == 10
 
+    @pytest.mark.parametrize("line, stray", [
+        ("res{", "res{ pepe p1:16 e1:32 p2:16 e2:32"),  # the body keeps line 8's pepe
+        ("res{", "res{ res{"),
+        ("}res", "}res junk"),
+        ("gap", "gap 7"),
+        ("softmax", "softmax 10"),
+    ])
+    def test_stray_tokens_rejected_at_directive(self, line, stray):
+        lines = nb.REFERENCE_SPECS["attendnet-micro-a"].splitlines()
+        line_no = lines.index(line) + 1
+        lines[line_no - 1] = "  " + stray
+        with pytest.raises(ParseError, match=rf"line {line_no}, col 3: '{re.escape(line)}' "
+                                             rf"takes 0 argument\(s\), got [1-5]"):
+            nb.parse_dsl("\n".join(lines))
+
+    @pytest.mark.parametrize("text, line", [
+        ("input 2 8 8\nres{\ngap\n}res\nfc 2\nsoftmax\n", 3),  # not at top level
+        ("input 2 8 8\nfc 2\ngap\nsoftmax\n", 2),              # out of order
+        ("input 2 8 8\ngap\nconv k1 c2\nfc 2\nsoftmax\n", 3),    # not last
+        ("input 2 8 8\ngap\nfc 2\nsoftmax\nsoftmax\n", 5),       # twice
+        ("input 2 8 8\ngap\nfc 2\n# end\n", 4),                  # missing, at the last line
+    ])
+    def test_tail_rule_located(self, text, line):
+        with pytest.raises(ParseError, match=rf"line {line}, col 1: network must end with "
+                                             "gap, fc, softmax"):
+            nb.parse_dsl(text)
+
+    def test_readme_option_table_matches_parser(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| ([^|]+?) \|", readme, re.M)
+        documented = {(word, key): default.strip("`") for word, key, default in rows}
+        parser = {(word, key): ("required" if default is nb.REQUIRED
+                                else "pool" if default is None else str(default))
+                  for word, table in nb.OPTIONS.items() for key, default in table.items()}
+        assert documented == parser
+
 
 def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
@@ -175,6 +211,36 @@ def dsl_texts(draw):
             lines += ["res{", draw(_block_line(c, keep_shape=True))[0], "}res"]
     lines += ["gap", f"fc {draw(st.integers(1, 5))}", "softmax"]
     return "\n".join(lines) + "\n"
+
+
+def _respelled(text):
+    """``text`` with every option spelled the other way (``key:value`` and
+    ``keyvalue`` swapped), the options of each line in reverse order, and a
+    comment repeating the line after it."""
+    lines = []
+    for line in text.splitlines():
+        word, *opts = line.split()
+        if word in nb.OPTIONS:
+            respelled = []
+            for opt in opts:
+                key = max((k for k in nb.OPTIONS[word] if opt.startswith(k)), key=len)
+                value = opt[len(key):].lstrip(":")
+                respelled.append(key + value if ":" in opt else f"{key}:{value}")
+            opts = respelled[::-1]
+        lines.append(" ".join([word, *opts]) + f"  # was: {line}")
+    return "\n".join(lines) + "\n"
+
+
+class TestSpellings:
+    @settings(max_examples=100, deadline=None)
+    @given(text=dsl_texts())
+    def test_respelled_reordered_commented_text_parses_the_same(self, text):
+        def outcome(t):
+            try:
+                return nb.parse_dsl(t).layers
+            except ParseError as e:  # a kernel or pool that does not fit the map
+                return str(e)
+        assert outcome(_respelled(text)) == outcome(text)
 
 
 class TestLayerProtocol:

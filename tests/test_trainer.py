@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -100,6 +101,14 @@ class TestLoadCifar:
         p.write_bytes(b"\x00" * 3072)
         with pytest.raises(DataFormatError, match="records"):
             load_cifar10(p)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("kwargs", [{"lr": math.nan}, {"lr": math.inf},
+                                        {"momentum": math.nan}, {"momentum": -math.inf}])
+    def test_non_finite_rejected(self, kwargs):
+        with pytest.raises(ConfigError, match="must be finite"):
+            TrainConfig(**kwargs)
 
 
 class TestTrain:

@@ -173,6 +173,19 @@ class TestBackward:
         for (name, analytic), (_, arr) in zip(gp.items(), params.items()):
             assert_close_grad(analytic, numeric_grad(loss, arr), 1e-5)
 
+    @pytest.mark.parametrize("c_down", [1, 3])
+    @pytest.mark.parametrize("per_channel_scale", [False, True])
+    @pytest.mark.parametrize("expand_mode", ["unpool", "nearest"])
+    def test_gradients_shaped_like_parameters(self, c_down, per_channel_scale, expand_mode):
+        # a per-channel scale over one channel has one element but keeps shape (1,)
+        cfg, params = make(c_in=6, c_down=c_down, e1=3, e2=c_down, groups=1, seed=8,
+                           per_channel_scale=per_channel_scale, expand_mode=expand_mode)
+        x = np.random.default_rng(80).standard_normal((2, 6, 5, 5))
+        _, cache = vac_forward(x, params, cfg)
+        _, gp = vac_backward(np.ones(x.shape), cache, params, cfg)
+        assert {n: (g.shape, g.dtype) for n, g in gp.items()} == \
+            {n: (p.shape, p.dtype) for n, p in params.items()}
+
     def test_scale_gradient_formula(self):
         cfg, params = make(seed=2)
         r = np.random.default_rng(21)
