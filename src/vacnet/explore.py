@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,8 +112,23 @@ def cached_eval_fn(metrics):
         key = spec_hash(spec_text)
         if key not in metrics:
             raise KeyError(f"no cached metrics for candidate {key}")
+        if not isinstance(metrics[key], dict):
+            raise ConfigError(f"cached metrics for candidate {key} must be an object")
         return dict(metrics[key])
     return eval_fn
+
+
+def _metric(result, name, text):
+    """A metric of one candidate's result: a finite real number (bools are
+    not numbers here), or None for a count left out of the result."""
+    value = result.get(name)
+    if value is None and name in ("params", "mult_adds"):
+        return None
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise ConfigError(f"candidate {spec_hash(text)}: {name} must be a finite "
+                          f"number, got {value!r}")
+    return value
 
 
 @dataclass
@@ -159,20 +175,17 @@ def search(space, budget, indicator_cfg, pf, eval_fn, seed=0):
     for cid, text in enumerate(space.draw(budget, rng)):
         if text not in results:
             results[text] = eval_fn(text)
-        result = results[text]
-        params = result.get("params")
-        mult_adds = result.get("mult_adds")
+        top1, bits, params, mult_adds = (_metric(results[text], name, text)
+                                         for name in ("top1", "bits", "params", "mult_adds"))
         if params is None or mult_adds is None:
             report = complexity.count_mult_adds(netbuilder.parse_dsl(text))
             params = params if params is not None else report.total_params
             mult_adds = (mult_adds if mult_adds is not None
                          else report.total_mult_adds)
-        feasible = bool(indicator({"top1": result["top1"],
-                                   "bits": result["bits"]}, indicator_cfg))
-        u = score(result["top1"], params, mult_adds, pf) if result["top1"] > 0 \
-            else float("-inf")
-        audit.append(Candidate(cid, text, spec_hash(text), result["top1"],
-                               result["bits"], params, mult_adds, feasible, u))
+        feasible = bool(indicator({"top1": top1, "bits": bits}, indicator_cfg))
+        u = score(top1, params, mult_adds, pf) if top1 > 0 else float("-inf")
+        audit.append(Candidate(cid, text, spec_hash(text), top1, bits, params,
+                               mult_adds, feasible, u))
     ranked = sorted((c for c in audit if c.feasible),
                     key=lambda c: (-c.u, c.params, c.spec_text))
     return SearchResult(feasible=ranked, audit=audit)

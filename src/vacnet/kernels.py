@@ -4,6 +4,8 @@ All activations and weights are numpy arrays. Activations are rank-4 with
 layout (batch, channels, rows, cols); convolution weights are
 (c_out, c_in/groups, kh, kw). Every op is a pure function: forward ops
 return new arrays, backward ops take saved forward inputs or outputs explicitly.
+``conv2d_backward`` reuses a per-thread scratch array, sized to the largest
+patch matrix seen, for transients that never leave it.
 Forward ops keep their input's dtype, except ``softmax`` and the losses,
 which compute in float64. Training and gradient checking run in float64;
 ``Network.predict`` runs the forward ops in float32 and gets float64
@@ -13,6 +15,8 @@ probabilities from ``softmax``.
 from __future__ import annotations
 
 import functools
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,23 +127,42 @@ def _taps(h, w, oh, ow, kernel, stride, padding):
                  for i, (ro, ri) in rows.items() for j, (co, ci) in cols.items())
 
 
+_scratch = threading.local()
+
+
+def _workspace(shape, dtype):
+    """A view of this thread's scratch array, grown to the largest request so
+    far; it holds whatever the last user left in it."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or buf.size < nbytes:
+        buf = _scratch.buf = np.empty(nbytes, dtype=np.uint8)
+    return buf[:nbytes].view(dtype).reshape(shape)
+
+
 def _is_identity_unfold(spec):
     return spec.kernel == spec.stride == (1, 1) and spec.padding == (0, 0)
 
 
-def _im2col(x, spec, oh, ow):
+def _im2col(x, spec, oh, ow, scratch=False):
     """Channel-major, per-image patch matrix (n, g, (c_in/g)*kh*kw, oh*ow).
 
     Row (c, i, j) of group g is input channel g*(c_in/g) + c at tap (i, j), so
     W.reshape(g, og, -1) @ cols is NCHW already. Each tap is one strided copy
     from the unpadded x. A 1x1/s1/p0 conv on a contiguous input needs no copy:
-    the reshape is a view of x.
+    the reshape is a view of x. ``scratch`` fills the thread's workspace
+    instead of a new array.
     """
     n, c, h, w = x.shape
     if _is_identity_unfold(spec):
         return x.reshape(n, spec.groups, -1, oh * ow)
-    alloc = np.zeros if any(spec.padding) else np.empty
-    cols = alloc((n, c, *spec.kernel, oh, ow), dtype=x.dtype)
+    shape = (n, c, *spec.kernel, oh, ow)
+    if scratch:
+        cols = _workspace(shape, x.dtype)
+        if any(spec.padding):
+            cols.fill(0)
+    else:
+        cols = (np.zeros if any(spec.padding) else np.empty)(shape, dtype=x.dtype)
     for i, j, ro, co, ri, ci in _taps(h, w, oh, ow, spec.kernel, spec.stride, spec.padding):
         cols[:, :, i, j, ro, co] = x[:, :, ri, ci]
     return cols.reshape(n, spec.groups, -1, oh * ow)
@@ -168,7 +191,9 @@ def conv2d_forward(x, weights, bias, spec):
 def conv2d_backward(grad_out, saved_input, weights, spec):
     """grad_weights sums go @ cols^T over images; dcols = W^T @ go is laid out
     (n, c_in, kh, kw, oh, ow) and each tap (i, j) adds its in-bounds part into
-    the unpadded input gradient over the same ranges _im2col read from."""
+    the unpadded input gradient over the same ranges _im2col read from. The
+    patches are spent once grad_weights is formed, so dcols overwrites them in
+    the workspace; a 1x1/s1/p0 conv's cols is a view of x and is never written."""
     grad_out = np.asarray(grad_out)
     x = np.asarray(saved_input)
     n, _, h, w = x.shape
@@ -180,15 +205,14 @@ def conv2d_backward(grad_out, saved_input, weights, spec):
     grad_bias = grad_out.sum(axis=(0, 2, 3))
 
     go = grad_out.reshape(n, g, spec.c_out // g, oh * ow)
-    cols = _im2col(x, spec, oh, ow)
+    cols = _im2col(x, spec, oh, ow, scratch=True)
     grad_weights = np.matmul(go, cols.transpose(0, 1, 3, 2)).sum(axis=0)
     grad_weights = grad_weights.reshape(spec.weight_shape())
 
-    wg = weights.reshape(g, spec.c_out // g, -1)
-    dcols = np.matmul(wg.transpose(0, 2, 1), go)
+    wgt = weights.reshape(g, spec.c_out // g, -1).transpose(0, 2, 1)
     if _is_identity_unfold(spec):
-        return dcols.reshape(x.shape), grad_weights, grad_bias
-    dcols = dcols.reshape(n, spec.c_in, *spec.kernel, oh, ow)
+        return np.matmul(wgt, go).reshape(x.shape), grad_weights, grad_bias
+    dcols = np.matmul(wgt, go, out=cols).reshape(n, spec.c_in, *spec.kernel, oh, ow)
     grad_input = np.zeros(x.shape, dtype=x.dtype)
     for i, j, ro, co, ri, ci in _taps(h, w, oh, ow, spec.kernel, spec.stride, spec.padding):
         grad_input[:, :, ri, ci] += dcols[:, :, i, j, ro, co]

@@ -176,6 +176,20 @@ class TestExitCodes:
         assert code == 4
         assert "no feasible candidate" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("entry", [
+        {"top1": "0.9", "bits": 8}, {"top1": 0.9, "bits": "8"}, {"top1": None, "bits": 8},
+        {"top1": True, "bits": 8}, {"top1": 0.9, "bits": 8, "params": "100"},
+        {"top1": 0.9, "bits": 8, "mult_adds": float("nan")}, 5, [["top1", 0.9]],
+    ])
+    def test_bad_cached_metrics_exit_2(self, tmp_path, capsys, entry):
+        text = "input 1 4 4\nconv k1 c2\ngap\nfc 2\nsoftmax\n"
+        p = tmp_path / "space.json"
+        p.write_text(json.dumps({"candidates": [text],
+                                 "metrics": {explore.spec_hash(text): entry}}))
+        code = cli.main(["search", "--space", str(p), "--budget", "1", "--tau", "0.5"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_writes_model_metrics_manifest(self, tmp_path, spec_file, capsys):

@@ -1,3 +1,7 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +131,82 @@ class TestConvBackward:
         assert_close_grad(gx, numeric_grad(loss, x), 1e-5)
         assert_close_grad(gw, numeric_grad(loss, w), 1e-5)
         assert_close_grad(gb, numeric_grad(loss, b), 1e-5)
+
+
+class TestConvWorkspace:
+    """conv2d_backward keeps its patches and column gradient in one per-thread
+    scratch array; nothing it returns may alias that array or its input."""
+
+    @staticmethod
+    def case(spec, shape, seed):
+        r = rng(seed)
+        x = r.standard_normal(shape)
+        w = r.standard_normal(spec.weight_shape())
+        gout = r.standard_normal((shape[0], spec.c_out, *spec.out_hw(*shape[2:])))
+        return gout, x, w, spec
+
+    def test_peak_below_one_patch_matrix_plus_outputs(self):
+        spec = ConvSpec(16, 16, kernel=(3, 3), padding=(1, 1))
+        args = self.case(spec, (8, 16, 16, 16), 0)
+        outs = K.conv2d_backward(*args)  # warm up: grows the workspace
+        patches = 8 * 16 * 9 * 16 * 16 * 8  # float64 bytes, 2.36 MB
+        tracemalloc.start()
+        try:
+            K.conv2d_backward(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = patches + sum(o.nbytes for o in outs)
+        assert peak < bound, f"peak {peak} B, bound {bound} B"
+
+    @pytest.mark.parametrize("spec", [
+        ConvSpec(4, 6, kernel=(3, 3), padding=(1, 1)),
+        ConvSpec(4, 4, kernel=(3, 3), stride=(2, 2), groups=4),
+        ConvSpec(4, 6),
+    ])
+    def test_outputs_survive_next_call(self, spec):
+        first = self.case(spec, (2, 4, 7, 7), 1)
+        x_before = first[1].copy()
+        outs = K.conv2d_backward(*first)
+        kept = [o.copy() for o in outs]
+        K.conv2d_backward(*self.case(spec, (2, 4, 7, 7), 2))
+        for o, k in zip(outs, kept):
+            np.testing.assert_array_equal(o, k)
+        np.testing.assert_array_equal(first[1], x_before)
+
+    def test_threads_match_serial_run(self):
+        # more threads than cores, each with its own conv shape, so a buffer
+        # shared between threads would be overwritten mid-call
+        specs = [(ConvSpec(4, 8, kernel=(3, 3), padding=(1, 1)), (4, 4, 12, 12)),
+                 (ConvSpec(6, 6, kernel=(3, 3), stride=(2, 2), groups=3), (3, 6, 9, 9)),
+                 (ConvSpec(3, 3, kernel=(3, 3), padding=(1, 1), groups=3), (5, 3, 10, 10)),
+                 (ConvSpec(2, 4, kernel=(2, 2), stride=(2, 2)), (6, 2, 8, 8))]
+        cases = [[self.case(spec, shape, 3 * t + s) for s in range(3)]
+                 for t, (spec, shape) in enumerate(specs)]
+        serial = [[K.conv2d_backward(*c) for c in cs] for cs in cases]
+        start = threading.Barrier(len(specs))
+        done = [0] * len(specs)
+
+        def run(t):
+            start.wait()
+            for i in range(200):
+                got = K.conv2d_backward(*cases[t][i % 3])
+                if not all(np.array_equal(g, w) for g, w in zip(got, serial[t][i % 3])):
+                    return
+                done[t] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(t,)) for t in range(len(specs))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert done == [200] * len(specs)
 
 
 def check_conv_oracles(x, spec, seed):
