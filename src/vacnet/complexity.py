@@ -86,7 +86,7 @@ def count_mult_adds(spec, input_shape=None, bits=32, count_bias_adds=False):
         rows=rows,
         total_params=sum(r.params for r in rows),
         total_mult_adds=sum(r.mult_adds for r in rows),
-        total_bytes=sum(math.ceil(r.params * bits / 8) for r in rows),
+        total_bytes=sum(r.bytes_at_bits for r in rows),
         input_shape=input_shape, bits=bits)
 
 

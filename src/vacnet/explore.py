@@ -67,6 +67,10 @@ def score(top1, params, mult_adds, pf):
                    - pf.gamma * math.log10(ma_m))
 
 
+def _strings(value):
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 @dataclass
 class SearchSpace:
     """Either an explicit candidate list, or stem + slot choices + tail."""
@@ -78,10 +82,24 @@ class SearchSpace:
 
     @classmethod
     def from_json(cls, text):
+        """A space from a JSON object whose stem, tail and candidates are lists
+        of strings, slots a list of non-empty lists of strings and metrics an
+        object; any other shape raises ConfigError."""
         data = json.loads(text)
-        return cls(stem=data.get("stem", []), slots=data.get("slots", []),
-                   tail=data.get("tail", []), candidates=data.get("candidates", []),
-                   metrics=data.get("metrics", {}))
+        if not isinstance(data, dict):
+            raise ConfigError("search space must be a JSON object")
+        space = cls(stem=data.get("stem", []), slots=data.get("slots", []),
+                    tail=data.get("tail", []), candidates=data.get("candidates", []),
+                    metrics=data.get("metrics", {}))
+        for name in ("stem", "tail", "candidates"):
+            if not _strings(getattr(space, name)):
+                raise ConfigError(f"search space {name!r} must be a list of strings")
+        if not isinstance(space.slots, list) or not all(s and _strings(s) for s in space.slots):
+            raise ConfigError("search space 'slots' must be a list of non-empty "
+                              "lists of strings")
+        if not isinstance(space.metrics, dict):
+            raise ConfigError("search space 'metrics' must be an object")
+        return space
 
     def sample(self, rng):
         lines = list(self.stem)

@@ -292,7 +292,8 @@ def parse_dsl(text):
 
 # Each layer kind runs as ``<kind>_forward(x, p, layer) -> (out, cache)`` and
 # ``<kind>_backward(grad, cache, p, layer) -> (grad_input, grads)``, with the
-# gradients keyed like the parameters ``p``.
+# gradients keyed like the parameters ``p``. Softmax has no backward:
+# ``Network.loss_and_backward`` fuses its gradient with the cross-entropy's.
 
 def conv_forward(x, p, layer):
     y = K.relu_forward(K.conv2d_forward(x, p["w"], p["b"], layer.spec))
@@ -326,10 +327,6 @@ def fc_backward(grad, cache, p, layer):
 
 def softmax_forward(x, p, layer):
     return K.softmax(x), None
-
-
-def softmax_backward(grad, cache, p, layer):  # pragma: no cover - fused path
-    raise NotImplementedError("softmax gradient is fused with cross-entropy")
 
 
 class Block:
@@ -370,23 +367,22 @@ class ResidualBlock:
         self.grads = {}
 
     def forward(self, x):
-        y = x
-        for c in self.children:
-            y = c.forward(y)
-        return x + y
+        return x + _chain(self.children, "forward", x)
 
     def predict(self, x):
-        y = x
-        for c in self.children:
-            y = c.predict(y)
-        return x + y
+        return x + _chain(self.children, "predict", x)
 
     def backward(self, grad):
-        g = grad
-        for c in reversed(self.children):
-            g = c.backward(g)
+        g = _chain(reversed(self.children), "backward", grad)
         self.grads = dict(_named(self.children, lambda c: c.grads.items()))
         return grad + g
+
+
+def _chain(blocks, method, x):
+    """``x`` through each block's ``method`` in turn."""
+    for b in blocks:
+        x = getattr(b, method)(x)
+    return x
 
 
 def _named(blocks, items):
@@ -414,7 +410,6 @@ class Network:
 
     def __init__(self, spec, seed):
         self.spec = spec
-        self.seed = seed
         rng = _Zeros if seed is None else np.random.Generator(np.random.PCG64(seed))
         self.blocks = [_compile_layer(l, rng) for l in spec.layers]
         self.blobs = {}
@@ -460,8 +455,7 @@ class Network:
             raise K.IntegrityError("call forward before loss_and_backward")
         loss = K.cross_entropy(self._probs, labels)
         grad = K.softmax_xent_backward(self._probs, labels)
-        for b in reversed(self.blocks[:-1]):  # softmax gradient is fused above
-            grad = b.backward(grad)
+        _chain(reversed(self.blocks[:-1]), "backward", grad)  # softmax gradient is fused above
         return loss
 
 

@@ -179,10 +179,10 @@ def vac_backward(grad_out, cache, p, config):
     g_vdown_f = g_gated * attn
     g_vdown_f *= s
     g_attn = g_gated * v_down
-    g_attn *= s
     # a scalar scale keeps a plain sum; a per-channel one of size 1 keeps shape (1,)
     axes = (0, 2, 3) if p["scale"].ndim else None
-    grads["scale"] = np.asarray((g_gated * v_down * attn).sum(axis=axes))
+    grads["scale"] = np.asarray((g_attn * attn).sum(axis=axes))
+    g_attn *= s
 
     if config.expand_mode == "unpool":
         g_ksig = K.unpool2d_backward(g_attn, cache["pool_idx"])

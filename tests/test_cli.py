@@ -190,6 +190,18 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("space", [
+        [1],
+        {"candidates": [5], "metrics": {"a": {}}},
+        {"stem": ["input 1 4 4"], "slots": [[]], "tail": [], "metrics": {"x": {}}},
+    ])
+    def test_malformed_space_exit_2(self, tmp_path, capsys, space):
+        p = tmp_path / "space.json"
+        p.write_text(json.dumps(space))
+        code = cli.main(["search", "--space", str(p), "--budget", "1", "--tau", "0.5"])
+        assert code == 2
+        assert "error: search space" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_writes_model_metrics_manifest(self, tmp_path, spec_file, capsys):

@@ -338,6 +338,12 @@ class TestMaxPool:
         gx = K.maxpool2d_backward(gout, idx, x.shape)
         assert_close_grad(gx, numeric_grad(loss, x), 1e-5)
 
+    @pytest.mark.parametrize("idx", [[[[[-1]]]], [[[[4]]]], np.zeros((1, 1, 2, 2), int)])
+    def test_backward_rejects_bad_indices(self, idx):
+        # negative, past the end of the 2x2 input, or not the gradient's shape
+        with pytest.raises(IntegrityError):
+            K.maxpool2d_backward(np.ones((1, 1, 1, 1)), np.asarray(idx), (1, 1, 2, 2))
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_random_pools_property(self, data):
