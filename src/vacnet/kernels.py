@@ -8,6 +8,10 @@ Max-pool's backward is the unpool scatter: ``maxpool2d_backward`` is bound to
 ``unpool2d_forward`` rather than calling it, so a tracer times each apart.
 ``conv2d_backward`` reuses a per-thread scratch array, sized to the largest
 patch matrix seen, for transients that never leave it.
+A layer spec states its parameters once, as the ``param_shapes()`` table that
+the ``ParamTable`` mixin counts and initialises. A block's conv ``<name>`` holds
+``<name>_w``/``<name>_b``, shaped by ``conv_param_shapes`` and run by
+``named_conv_forward``/``named_conv_backward``.
 Forward ops keep their input's dtype, except ``softmax`` and the losses,
 which compute in float64. Training and gradient checking run in float64;
 ``Network.predict`` runs the forward ops in float32 and gets float64
@@ -92,10 +96,6 @@ class ConvSpec:
     def weight_shape(self):
         return (self.c_out, self.c_in // self.groups, *self.kernel)
 
-    def param_count(self):
-        kh, kw = self.kernel
-        return self.c_out * (self.c_in // self.groups) * kh * kw + self.c_out
-
     def mult_adds(self, h, w, bias=False):
         """Forward mult-adds of one image at an h x w input; ``bias`` adds one
         per output element."""
@@ -103,11 +103,32 @@ class ConvSpec:
         kh, kw = self.kernel
         return (kh * kw * (self.c_in // self.groups) + bias) * self.c_out * oh * ow
 
+
+class ParamTable:
+    """Mixin for a layer spec whose ``param_shapes()`` is its ordered
+    parameter name -> shape table; the count and the initial values follow
+    from it. ``init_params(rng)`` draws in table order: a weight of rank >= 2
+    gets U(-sqrt(6/fan_in), +sqrt(6/fan_in)), fan_in being the product of its
+    trailing axes; ``scale`` starts at 1 and every other parameter at 0."""
+
+    def param_count(self):
+        return sum(math.prod(shape) for shape in self.param_shapes().values())
+
     def init_params(self, rng):
-        """Fan-in-scaled uniform weights and zero biases."""
-        kh, kw = self.kernel
-        fan_in = (self.c_in // self.groups) * kh * kw
-        return init_weights(self.weight_shape(), fan_in, rng), np.zeros(self.c_out)
+        p = {}
+        for name, shape in self.param_shapes().items():
+            if len(shape) >= 2:
+                bound = np.sqrt(6.0 / math.prod(shape[1:]))
+                p[name] = rng.uniform(-bound, bound, size=shape)
+            else:
+                p[name] = (np.ones if name == "scale" else np.zeros)(shape)
+        return p
+
+
+def conv_param_shapes(convs):
+    """``<name>_w``/``<name>_b`` shapes of each spec in ``convs``, in its order."""
+    return {f"{name}_{kind}": shape for name, spec in convs.items()
+            for kind, shape in (("w", spec.weight_shape()), ("b", (spec.c_out,)))}
 
 
 @functools.lru_cache(maxsize=256)
@@ -220,6 +241,18 @@ def conv2d_backward(grad_out, saved_input, weights, spec):
     for i, j, ro, co, ri, ci in _taps(h, w, oh, ow, spec.kernel, spec.stride, spec.padding):
         grad_input[:, :, ri, ci] += dcols[:, :, i, j, ro, co]
     return grad_input, grad_weights, grad_bias
+
+
+def named_conv_forward(x, p, convs, name):
+    """Conv ``convs[name]`` on parameters ``p[<name>_w]``, ``p[<name>_b]``."""
+    return conv2d_forward(x, p[f"{name}_w"], p[f"{name}_b"], convs[name])
+
+
+def named_conv_backward(grad_out, saved_input, p, convs, name, grads):
+    """The input gradient of conv ``convs[name]``; its others go into ``grads``."""
+    gx, grads[f"{name}_w"], grads[f"{name}_b"] = conv2d_backward(
+        grad_out, saved_input, p[f"{name}_w"], convs[name])
+    return gx
 
 
 def maxpool2d_forward(x, kernel, stride):
@@ -355,8 +388,3 @@ def softmax_xent_backward(probs, labels):
     p[np.arange(p.shape[0]), labels] -= 1.0
     return p / p.shape[0]
 
-
-def init_weights(shape, fan_in, rng):
-    """Fan-in-scaled uniform init: U(-sqrt(6/fan_in), +sqrt(6/fan_in))."""
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)

@@ -52,38 +52,33 @@ class FormatError(ValueError):
 
 
 # Layer specs. Each one answers the same questions: ``kind`` (its name in
-# parameter and report rows), ``out_shape(c, h, w)``, ``param_count()``,
-# ``mult_adds(h, w, bias)`` for one image and ``init_params(rng)``, its
-# parameters as a name -> array dict; VacConfig and PepeConfig answer them in
-# their own modules.
+# parameter and report rows), ``out_shape(c, h, w)``, ``mult_adds(h, w, bias)``
+# for one image and ``param_shapes()``, its parameters as an ordered name ->
+# shape table, from which the ``ParamTable`` mixin derives ``param_count()``
+# and ``init_params(rng)``; VacConfig and PepeConfig answer them in their own
+# modules.
 
 @dataclass(frozen=True)
-class ConvLayer:
+class ConvLayer(K.ParamTable):
     spec: ConvSpec
     kind = "conv"
 
     def out_shape(self, c, h, w):
         return (self.spec.c_out, *self.spec.out_hw(h, w))
 
-    def param_count(self):
-        return self.spec.param_count()
+    def param_shapes(self):
+        return {"w": self.spec.weight_shape(), "b": (self.spec.c_out,)}
 
     def mult_adds(self, h, w, bias=False):
         return self.spec.mult_adds(h, w, bias)
 
-    def init_params(self, rng):
-        return dict(zip(("w", "b"), self.spec.init_params(rng)))
 
-
-class _Weightless:
-    def param_count(self):
-        return 0
+class _Weightless(K.ParamTable):
+    def param_shapes(self):
+        return {}
 
     def mult_adds(self, h, w, bias=False):
         return 0
-
-    def init_params(self, rng):
-        return {}
 
 
 @dataclass(frozen=True)
@@ -95,7 +90,7 @@ class GapLayer(_Weightless):
 
 
 @dataclass(frozen=True)
-class FcLayer:
+class FcLayer(K.ParamTable):
     c_in: int
     out: int
     kind = "fc"
@@ -103,15 +98,11 @@ class FcLayer:
     def out_shape(self, c, h, w):
         return self.out, 1, 1
 
-    def param_count(self):
-        return (self.c_in + 1) * self.out
+    def param_shapes(self):
+        return {"w": (self.out, self.c_in), "b": (self.out,)}
 
     def mult_adds(self, h, w, bias=False):
         return (self.c_in + bias) * self.out
-
-    def init_params(self, rng):
-        return {"w": K.init_weights((self.out, self.c_in), self.c_in, rng),
-                "b": np.zeros(self.out)}
 
 
 @dataclass(frozen=True)
@@ -203,6 +194,8 @@ def _configured_layer(word, o, c_in):
         return ConvLayer(ConvSpec(c_in, o["c"], kernel=(k, k), stride=(s, s),
                                   padding=(p, p), groups=o["g"]))
     if word == "vac":
+        if o["spc"] not in (0, 1):
+            raise ConfigError(f"spc must be 0 or 1, got {o['spc']}")
         return VacConfig(
             c_in=c_in, c_down=o["dm"], e1=o["e1"], e2=o["e2"], c_up=o["um"],
             pool=(o["pool"], o["pool"] if o["ps"] is None else o["ps"]),
@@ -427,7 +420,9 @@ class Network:
 
     def forward(self, x):
         """The float64 training forward: each block caches what its backward
-        needs, and the probabilities are kept for ``loss_and_backward``."""
+        needs, and the probabilities are kept for ``loss_and_backward``; a
+        forward that raises leaves none, so no backward runs on its caches."""
+        self._probs = None
         self._probs = self._run(np.asarray(x, dtype=np.float64), "forward")
         return self._probs
 

@@ -17,7 +17,7 @@ from .kernels import ConfigError, ConvSpec, IntegrityError
 
 
 @dataclass(frozen=True)
-class PepeConfig:
+class PepeConfig(K.ParamTable):
     c_in: int
     p1: int
     e1: int
@@ -59,8 +59,9 @@ class PepeConfig:
             h, w = spec.out_hw(h, w)
         return self.e2, h, w
 
-    def param_count(self):
-        return sum(spec.param_count() for spec in self.convs.values())
+    def param_shapes(self):
+        """``<conv>_w``/``<conv>_b`` for each conv in pipeline order."""
+        return K.conv_param_shapes(self.convs)
 
     def mult_adds(self, h, w, bias=False):
         total = 0
@@ -69,22 +70,14 @@ class PepeConfig:
             h, w = spec.out_hw(h, w)
         return total
 
-    def init_params(self, rng):
-        """``<conv>_w``/``<conv>_b`` for each conv in pipeline order."""
-        p = {}
-        for name, spec in self.convs.items():
-            p[f"{name}_w"], p[f"{name}_b"] = spec.init_params(rng)
-        return p
-
 
 def pepe_forward(x, p, config):
     x = K.check_tensor(x, "pepe input")
     if x.shape[1] != config.c_in:
         raise ConfigError(f"input has {x.shape[1]} channels, config expects {config.c_in}")
     acts = [x]
-    for name, spec in config.convs.items():
-        acts.append(K.relu_forward(
-            K.conv2d_forward(acts[-1], p[f"{name}_w"], p[f"{name}_b"], spec)))
+    for name in config.convs:
+        acts.append(K.relu_forward(K.named_conv_forward(acts[-1], p, config.convs, name)))
     cache = {"config": config, "acts": acts}
     return acts[-1], cache
 
@@ -99,8 +92,7 @@ def pepe_backward(grad_out, cache, p, config):
         raise IntegrityError(f"grad shape {grad.shape} does not match forward "
                              f"output {acts[-1].shape}")
     grads = {}
-    for i, (name, spec) in reversed(list(enumerate(config.convs.items()))):
-        grad = K.relu_backward(grad, acts[i + 1])
-        grad, grads[f"{name}_w"], grads[f"{name}_b"] = K.conv2d_backward(
-            grad, acts[i], p[f"{name}_w"], spec)
+    for i, name in reversed(list(enumerate(config.convs))):
+        grad = K.named_conv_backward(K.relu_backward(grad, acts[i + 1]), acts[i], p,
+                                     config.convs, name, grads)
     return grad, {name: grads[name] for name in p}

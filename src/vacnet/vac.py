@@ -20,7 +20,7 @@ from .kernels import ConfigError, ConvSpec, IntegrityError, ShapeError
 
 
 @dataclass(frozen=True)
-class VacConfig:
+class VacConfig(K.ParamTable):
     c_in: int
     c_down: int
     e1: int
@@ -82,10 +82,10 @@ class VacConfig:
             raise ShapeError(f"pool kernel {self.pool[0]} larger than {h}x{w} input")
         return c, h, w
 
-    def param_count(self):
-        """Exact learnable scalar count of one block."""
-        scales = self.c_down if self.per_channel_scale else 1
-        return sum(spec.param_count() for spec in self.convs.values()) + scales
+    def param_shapes(self):
+        """``<conv>_w``/``<conv>_b`` for each conv in pipeline order, then ``scale``."""
+        return {**K.conv_param_shapes(self.convs),
+                "scale": (self.c_down,) if self.per_channel_scale else ()}
 
     def mult_adds(self, h, w, bias=False):
         """The four convolutions (the embedding runs on the pooled grid) plus
@@ -98,30 +98,11 @@ class VacConfig:
                 + c["embed_pointwise"].mult_adds(qh, qw, bias)
                 + 2 * self.c_down * h * w + c["up"].mult_adds(h, w, bias))
 
-    def init_params(self, rng):
-        """``<conv>_w``/``<conv>_b`` for each conv in pipeline order, with
-        fan-in-scaled uniform weights and zero biases, then ``scale`` at 1."""
-        p = {}
-        for name, spec in self.convs.items():
-            p[f"{name}_w"], p[f"{name}_b"] = spec.init_params(rng)
-        p["scale"] = np.ones(self.c_down) if self.per_channel_scale else np.ones(())
-        return p
-
 
 def _expand_nearest_maps(h, w, qh, qw, stride):
     rows = np.minimum(np.arange(h) // stride, qh - 1)
     cols = np.minimum(np.arange(w) // stride, qw - 1)
     return rows, cols
-
-
-def _conv(x, p, config, name):
-    return K.conv2d_forward(x, p[f"{name}_w"], p[f"{name}_b"], config.convs[name])
-
-
-def _conv_backward(grad, x, p, config, name, grads):
-    gx, grads[f"{name}_w"], grads[f"{name}_b"] = K.conv2d_backward(
-        grad, x, p[f"{name}_w"], config.convs[name])
-    return gx
 
 
 def vac_forward(v, p, config):
@@ -132,11 +113,12 @@ def vac_forward(v, p, config):
         raise ConfigError(f"input has {v.shape[1]} channels, config expects {config.c_in}")
     n, _, h, w = v.shape
     pk, ps = config.pool
+    convs = config.convs
 
-    v_down = _conv(v, p, config, "down")
+    v_down = K.named_conv_forward(v, p, convs, "down")
     q, idx = K.maxpool2d_forward(v_down, (pk, pk), (ps, ps))
-    e_act = K.relu_forward(_conv(q, p, config, "embed_grouped"))
-    k_sig = K.sigmoid_forward(_conv(e_act, p, config, "embed_pointwise"))
+    e_act = K.relu_forward(K.named_conv_forward(q, p, convs, "embed_grouped"))
+    k_sig = K.sigmoid_forward(K.named_conv_forward(e_act, p, convs, "embed_pointwise"))
     if config.expand_mode == "unpool":
         attn = K.unpool2d_forward(k_sig, idx, v_down.shape)
         nearest_maps = None
@@ -148,7 +130,7 @@ def vac_forward(v, p, config):
 
     gated = v_down * attn
     gated *= p["scale"].reshape(-1, 1, 1)  # in place: a broadcast product allocates
-    out = _conv(gated, p, config, "up")
+    out = K.named_conv_forward(gated, p, convs, "up")
 
     cache = {
         "config": config, "input": v, "v_down": v_down, "pool_idx": idx,
@@ -167,13 +149,13 @@ def vac_backward(grad_out, cache, p, config):
     v_down = cache["v_down"]
     attn = cache["attn"]
     grad_out = np.asarray(grad_out)
-    expected = v.shape
-    if grad_out.shape != expected:
+    if grad_out.shape != v.shape:
         raise IntegrityError(f"grad shape {grad_out.shape} does not match cached "
-                             f"forward output {expected}")
+                             f"forward output {v.shape}")
 
     grads = {}
-    g_gated = _conv_backward(grad_out, cache["gated"], p, config, "up", grads)
+    convs = config.convs
+    g_gated = K.named_conv_backward(grad_out, cache["gated"], p, convs, "up", grads)
 
     s = p["scale"].reshape(-1, 1, 1)
     g_vdown_f = g_gated * attn
@@ -192,9 +174,9 @@ def vac_backward(grad_out, cache, p, config):
         np.add.at(g_ksig, (slice(None), slice(None), rows[:, None], cols[None, :]), g_attn)
 
     g_kpre = K.sigmoid_backward(g_ksig, cache["k_sig"])
-    g_eact = _conv_backward(g_kpre, cache["e_act"], p, config, "embed_pointwise", grads)
+    g_eact = K.named_conv_backward(g_kpre, cache["e_act"], p, convs, "embed_pointwise", grads)
     g_epre = K.relu_backward(g_eact, cache["e_act"])
-    g_q = _conv_backward(g_epre, cache["q"], p, config, "embed_grouped", grads)
+    g_q = K.named_conv_backward(g_epre, cache["q"], p, convs, "embed_grouped", grads)
     g_vdown = g_vdown_f + K.maxpool2d_backward(g_q, cache["pool_idx"], v_down.shape)
-    g_v = _conv_backward(g_vdown, v, p, config, "down", grads)
+    g_v = K.named_conv_backward(g_vdown, v, p, convs, "down", grads)
     return g_v, {name: grads[name] for name in p}

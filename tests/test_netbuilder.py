@@ -13,7 +13,7 @@ from oracles import MulCounter, assert_close_grad, naive_network_forward, numeri
 from vacnet import netbuilder as nb
 from vacnet import quant
 from vacnet.complexity import count_mult_adds
-from vacnet.kernels import NonFiniteError, ShapeError
+from vacnet.kernels import ConvSpec, IntegrityError, NonFiniteError, ShapeError
 from vacnet.netbuilder import FormatError, ParseError
 from vacnet.pepe import PepeConfig
 from vacnet.vac import VacConfig
@@ -93,6 +93,9 @@ class TestParse:
         "vac dm0 e1:0 e2:0 um4",        # zero-channel convolutions
         "vac dm2 e1:4 e2:2 um4 ek0",    # zero-size embedding kernel
         "pepe p1:0 e1:4 p2:2 e2:4",     # zero-channel first projection
+        "vac dm2 e1:4 e2:2 um4 spc7",   # the scale flag is 0 or 1
+        "vac dm2 e1:4 e2:2 um4 spc:-1",
+        "vac dm2 e1:4 e2:2 um4 spc-3",
     ])
     def test_degenerate_block_rejected_at_parse(self, line):
         with pytest.raises(ParseError, match="line 2"):
@@ -263,6 +266,58 @@ class TestLayerProtocol:
         assert shape == (spec.class_count, 1, 1)
 
 
+def _explicit_draw(seed, table):
+    """The initialisation law, drawn by hand in table order: a weight of rank
+    >= 2 is U(-b, b) with b = sqrt(6 / fan_in), fan_in the product of its
+    trailing axes; ``scale`` is 1 and every other parameter 0."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    want = {}
+    for name, shape in table:
+        if len(shape) >= 2:
+            b = np.sqrt(6.0 / math.prod(shape[1:]))
+            want[name] = rng.uniform(-b, b, shape)
+        else:
+            want[name] = np.ones(shape) if name == "scale" else np.zeros(shape)
+    return want
+
+
+def _conv_table(*convs):
+    return [(f"{name}_{k}", shape) for name, w in convs
+            for k, shape in (("w", w), ("b", w[:1]))]
+
+
+_VAC_CONVS = (("down", (8, 16, 1, 1)), ("embed_grouped", (16, 4, 3, 3)),
+              ("embed_pointwise", (8, 16, 1, 1)), ("up", (16, 8, 1, 1)))
+INIT_CASES = [
+    (nb.ConvLayer(ConvSpec(3, 8, kernel=(3, 3), padding=(1, 1))),
+     [("w", (8, 3, 3, 3)), ("b", (8,))]),
+    (nb.ConvLayer(ConvSpec(8, 8, kernel=(5, 3), groups=4)), [("w", (8, 2, 5, 3)), ("b", (8,))]),
+    (nb.FcLayer(c_in=12, out=5), [("w", (5, 12)), ("b", (5,))]),
+    (VacConfig(c_in=16, c_down=8, e1=16, e2=8, c_up=16, embed_groups=2),
+     _conv_table(*_VAC_CONVS) + [("scale", ())]),
+    (VacConfig(c_in=16, c_down=8, e1=16, e2=8, c_up=16, embed_groups=2,
+               per_channel_scale=True),
+     _conv_table(*_VAC_CONVS) + [("scale", (8,))]),
+    (PepeConfig(c_in=16, p1=8, e1=16, p2=8, e2=32, dw_kernel=5, stride=2),
+     _conv_table(("proj1", (8, 16, 1, 1)), ("dwexp", (16, 1, 5, 5)),
+                 ("proj2", (8, 16, 1, 1)), ("pwexp", (32, 8, 1, 1)))),
+    (nb.GapLayer(), []),
+]
+
+
+class TestInitialisation:
+    @pytest.mark.parametrize("seed", [0, 1, 97])
+    @pytest.mark.parametrize("layer, table", INIT_CASES)
+    def test_init_params_follows_the_law_in_table_order(self, layer, table, seed):
+        got = layer.init_params(np.random.Generator(np.random.PCG64(seed)))
+        want = _explicit_draw(seed, table)
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].shape == want[name].shape
+            assert got[name].tobytes() == want[name].tobytes(), name
+        assert layer.param_count() == sum(a.size for a in want.values())
+
+
 class TestOracleAgreement:
     @settings(max_examples=100, deadline=None)
     @given(text=dsl_texts())
@@ -406,6 +461,18 @@ class TestForwardBackward:
         x[0, 0, 3, 3] = np.nan
         with pytest.raises(NonFiniteError, match=r"block 1 \(vac\): vac input"):
             net.forward(x)
+
+    def test_failed_forward_leaves_no_probabilities(self):
+        # a backward after it would pair the last good batch's probabilities
+        # with caches of the failed one
+        net = nb.compile_spec(nb.parse_dsl(TINY), seed=0)
+        x = np.random.default_rng(0).random((2, 1, 28, 28))
+        net.forward(x)
+        x[0, 0, 3, 3] = np.nan
+        with pytest.raises(NonFiniteError):
+            net.forward(x)
+        with pytest.raises(IntegrityError, match="call forward"):
+            net.loss_and_backward(np.array([0, 1]))
 
     def test_bad_batch_shape(self):
         net = nb.compile_spec(nb.parse_dsl(TINY), seed=0)
