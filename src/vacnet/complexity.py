@@ -57,16 +57,19 @@ class ComplexityReport:
 
 def _walk(layers, shape, bias, prefix=""):
     """(name, params, mult-adds) rows of one image entering ``layers`` at
-    ``shape``; a residual group contributes its inner layers' rows."""
+    ``shape``; a residual group contributes its inner layers' rows. Each
+    layer checks the shape it gets before it is counted at that shape, so a
+    map too small for a layer is reported by that layer."""
     rows = []
     for i, layer in enumerate(layers):
         name = f"{prefix}{i}"
+        out = layer.out_shape(*shape)
         if layer.kind == "res":
             rows += _walk(layer.body, shape, bias, f"{name}.res.")
         else:
             rows.append((f"{name}.{layer.kind}", layer.param_count(),
                          layer.mult_adds(*shape[1:], bias)))
-        shape = layer.out_shape(*shape)
+        shape = out
     return rows
 
 

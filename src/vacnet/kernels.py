@@ -4,8 +4,10 @@ All activations and weights are numpy arrays. Activations are rank-4 with
 layout (batch, channels, rows, cols); convolution weights are
 (c_out, c_in/groups, kh, kw). Every op is a pure function: forward ops
 return new arrays, backward ops take saved forward inputs or outputs explicitly.
-Max-pool's backward is the unpool scatter: ``maxpool2d_backward`` is bound to
-``unpool2d_forward`` rather than calling it, so a tracer times each apart.
+Max-pool picks the lowest flat offset among equal maxima, and a NaN wins only
+as its window's first tap. Its backward is the unpool scatter:
+``maxpool2d_backward`` is bound to ``unpool2d_forward`` rather than calling it,
+so a tracer times each apart.
 ``conv2d_backward`` reuses a per-thread scratch array, sized to the largest
 patch matrix seen, for transients that never leave it.
 A layer spec states its parameters once, as the ``param_shapes()`` table that
@@ -150,6 +152,15 @@ def _taps(h, w, oh, ow, kernel, stride, padding):
                  for i, (ro, ri) in rows.items() for j, (co, ci) in cols.items())
 
 
+@functools.lru_cache(maxsize=256)
+def _window_starts(h, w, oh, ow, sh, sw):
+    """Read-only (oh, ow) flat offset of each pool window's top-left pixel in
+    one h x w plane; it does not grow with the batch."""
+    starts = np.arange(oh)[:, None] * (sh * w) + np.arange(ow) * sw
+    starts.flags.writeable = False
+    return starts
+
+
 _scratch = threading.local()
 
 
@@ -259,7 +270,12 @@ def maxpool2d_forward(x, kernel, stride):
     """Max over each window plus the flat input offset of every selected maximum.
 
     Ties break to the lowest flat offset (first occurrence in row-major window
-    order, which coincides with input memory order).
+    order, which coincides with input memory order), and a NaN wins only as
+    its window's first tap. Nothing branches per element: taps come in
+    increasing offset order, a running ``fmax`` skips NaN (a NaN first tap
+    runs as +inf, so nothing beats it), and each tap that beats the running
+    max raises ``best`` to its in-window offset. The value is gathered at the
+    chosen offset, so -0.0 and NaN come out exactly.
     """
     x = np.asarray(x)
     n, c, h, w = x.shape
@@ -271,15 +287,21 @@ def maxpool2d_forward(x, kernel, stride):
         raise ShapeError(f"pool kernel {kernel} larger than input {h}x{w}")
     oh = (h - kh) // sh + 1
     ow = (w - kw) // sw + 1
-    flat = np.arange(x.size).reshape(x.shape)
     (_, _, _, _, ri, ci), *taps = _taps(h, w, oh, ow, (kh, kw), (sh, sw), (0, 0))
-    out, indices = x[:, :, ri, ci].copy(), flat[:, :, ri, ci].copy()
-    for _, _, _, _, ri, ci in taps:
-        tap = x[:, :, ri, ci]
-        better = tap > out
-        np.copyto(out, tap, where=better)
-        np.copyto(indices, flat[:, :, ri, ci], where=better)
-    return out, indices
+    run = np.fmin(x[:, :, ri, ci], np.inf)
+    nxt = np.empty_like(run)
+    # The narrowest unsigned dtype that holds every in-window offset keeps the
+    # per-tap product and maximum cheap; the product keeps that dtype.
+    best = np.zeros(run.shape, dtype=np.min_scalar_type((kh - 1) * w + kw - 1))
+    for i, j, _, _, ri, ci in taps:
+        # The tap beats the running max exactly when fmax(run, tap) > run;
+        # comparing the two dense arrays reads the strided tap only once.
+        np.fmax(run, x[:, :, ri, ci], out=nxt)
+        np.maximum(best, (nxt > run) * best.dtype.type(i * w + j), out=best)
+        run, nxt = nxt, run
+    indices = best + _window_starts(h, w, oh, ow, sh, sw)
+    indices += np.arange(0, x.size, h * w).reshape(n, c, 1, 1)
+    return x.take(indices), indices
 
 
 def unpool2d_forward(x, indices, out_shape):
@@ -315,9 +337,11 @@ def relu_backward(grad_out, saved):
 
 def sigmoid_forward(x):
     # exp(-|x|) never overflows; 1/(1+e) for x >= 0 and e/(1+e) below zero.
+    # e lies in [0, 1] or is NaN, so max(e, x >= 0) picks the numerator
+    # without a per-element branch.
     x = np.asarray(x)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def sigmoid_backward(grad_out, saved_output):

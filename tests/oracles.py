@@ -83,13 +83,15 @@ def naive_conv2d_backward(grad_out, x, w, stride=(1, 1), padding=(0, 0), groups=
 
 
 def naive_maxpool(x, kernel, stride):
-    """Brute-force per-window max plus flat argmax offsets (lowest offset wins)."""
+    """Brute-force per-window max plus flat argmax offsets (lowest offset wins;
+    a NaN wins only as its window's first tap, since nothing is > NaN and NaN
+    is > nothing), in the input's dtype."""
     n, c, h, w = x.shape
     kh, kw = kernel
     sh, sw = stride
     oh = (h - kh) // sh + 1
     ow = (w - kw) // sw + 1
-    out = np.zeros((n, c, oh, ow))
+    out = np.zeros((n, c, oh, ow), dtype=x.dtype)
     idx = np.zeros((n, c, oh, ow), dtype=np.int64)
     for bi in range(n):
         for ci in range(c):

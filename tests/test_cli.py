@@ -288,6 +288,14 @@ class TestCountCompare:
                          "--input-shape", "1,28"])
         assert code == 2
 
+    @pytest.mark.parametrize("shape,hw", [("1,2,2", "1x1"), ("1,100000,1", "50000x1")])
+    def test_count_map_too_small_for_pool_names_the_pool(self, capsys, shape, hw):
+        # The stem conv maps the input to hw, where the first VAC's 2x2 pool
+        # does not fit; the pool, not a later conv, reports it.
+        code = cli.main(["count", "--spec", "attendnet-micro-a", "--input-shape", shape])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: pool kernel 2 larger than {hw} input\n"
+
     def test_count_non_integer_input_shape_exit_2(self, capsys):
         code = cli.main(["count", "--spec", "attendnet-micro-a",
                          "--input-shape", "a,b,c"])

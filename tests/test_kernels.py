@@ -292,6 +292,9 @@ class TestConvOracles:
         check_conv_oracles(rng(0).standard_normal((2, 1, 1, 1)), spec, seed=1)
 
 
+POOL_SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0, 0.5])
+
+
 class TestMaxPool:
     def test_single_window(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
@@ -345,24 +348,54 @@ class TestMaxPool:
             K.maxpool2d_backward(np.ones((1, 1, 1, 1)), np.asarray(idx), (1, 1, 2, 2))
 
     @given(st.data())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_random_pools_property(self, data):
         # Small integers make ties common; the tie rule must match the oracle's
-        # first-in-window-order maximum. Windows may overlap (stride < kernel)
-        # or skip pixels (stride > kernel), and the input may be a strided view.
+        # first-in-window-order maximum. NaN wins only as its window's first
+        # tap, -0.0 and 0.0 tie (the first wins, with its sign), and float32
+        # stays float32. Windows may overlap (stride < kernel) or skip pixels
+        # (stride > kernel), and the input may be a strided view.
         def draw(lo, hi):
             return data.draw(st.integers(lo, hi))
         kernel, stride = (draw(1, 3), draw(1, 3)), (draw(1, 3), draw(1, 3))
         n, c, h, w = draw(1, 2), draw(1, 3), draw(kernel[0], 7), draw(kernel[1], 7)
         step = draw(1, 2)
-        base = rng(draw(0, 2**16)).integers(-2, 3, size=(n, c + 1, h * step, w * step))
-        x = base.astype(np.float64)[:, 1:, ::step, ::step]
+        values = data.draw(st.sampled_from([np.arange(-2.0, 3.0), POOL_SPECIALS]))
+        dtype = data.draw(st.sampled_from([np.float64, np.float32]))
+        base = rng(draw(0, 2**16)).choice(values, size=(n, c + 1, h * step, w * step))
+        x = base.astype(dtype)[:, 1:, ::step, ::step]
         if data.draw(st.booleans()):  # column-major planes
             x = np.ascontiguousarray(x.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
         out, idx = K.maxpool2d_forward(x, kernel, stride)
         want, want_idx = naive_maxpool(x, kernel, stride)
+        assert out.dtype == want.dtype == dtype and idx.dtype == want_idx.dtype
+        assert out.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(idx, want_idx)
+
+    def test_nan_wins_only_as_first_tap(self):
+        x = np.array([[np.nan, 1.0], [2.0, 3.0],
+                      [0.0, np.nan], [-1.0, -2.0]]).reshape(1, 1, 4, 2)
+        out, idx = K.maxpool2d_forward(x, (2, 2), (2, 2))
+        assert np.isnan(out[0, 0, 0, 0]) and idx[0, 0, 0, 0] == 0
+        assert out[0, 0, 1, 0] == 0.0 and idx[0, 0, 1, 0] == 4
+
+    def test_returned_indices_and_batch_size_do_not_leak_into_next_call(self):
+        x = rng(3).standard_normal((3, 2, 6, 6))
+        want, want_idx = naive_maxpool(x[:1], (2, 2), (2, 2))
+        pooled, idx = K.maxpool2d_forward(x[:1], (2, 2), (2, 2))
+        idx[...] = -1
+        for consumer in (K.maxpool2d_backward, K.unpool2d_forward):
+            with pytest.raises(IntegrityError):
+                consumer(pooled, idx, x[:1].shape)
+        K.maxpool2d_forward(x, (2, 2), (2, 2))  # same plane shape, larger batch
+        out, idx = K.maxpool2d_forward(x[:1], (2, 2), (2, 2))
         np.testing.assert_array_equal(out, want)
         np.testing.assert_array_equal(idx, want_idx)
+
+    def test_cached_window_starts_are_read_only(self):
+        K.maxpool2d_forward(np.zeros((1, 1, 6, 6)), (2, 2), (2, 2))
+        with pytest.raises(ValueError):
+            K._window_starts(6, 6, 3, 3, 2, 2)[0, 0] = 1
 
 
 class TestUnpool:
@@ -445,6 +478,19 @@ class TestSigmoid:
         got = K.sigmoid_forward(x.reshape(2, 1, 2, -1))
         assert got.dtype == np.float64
         assert got.tobytes() == self.split_by_sign(x).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bitwise_equal_to_where_formula_on_special_values(self, dtype):
+        # NaN is checked here, not above: the split gives it the other sign bit.
+        tiny = np.finfo(dtype).smallest_subnormal
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 800.0, -800.0,
+                      88.7, -88.7, 104.0, -104.0, tiny, -tiny], dtype=dtype)
+        x = np.concatenate([x, (rng(2).standard_normal(1000) * 40).astype(dtype)])
+        e = np.exp(-np.abs(x))
+        want = np.where(x >= 0, dtype(1.0), e) / (dtype(1.0) + e)
+        got = K.sigmoid_forward(x)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
 
     def test_no_overflow_at_extremes(self):
         with np.errstate(over="raise", invalid="raise", divide="raise"):
