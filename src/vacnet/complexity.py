@@ -6,7 +6,7 @@ fully-connected layer in*out, and the attention gating two multiplications
 per gated element (value product and scale product). Comparisons, max, exp,
 and division are excluded, so pooling, unpooling, GAP, ReLU, sigmoid, and
 softmax count zero. Biases are additions only: counted in params, not in
-mult-adds (set ``count_bias_adds`` to fold them in).
+mult-adds.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class ComplexityReport:
     total_params: int
     total_mult_adds: int
     total_bytes: int
-    input_shape: tuple
     bits: int
 
     def to_csv(self):
@@ -55,7 +54,7 @@ class ComplexityReport:
         return "\n".join(lines)
 
 
-def _walk(layers, shape, bias, prefix=""):
+def _walk(layers, shape, prefix=""):
     """(name, params, mult-adds) rows of one image entering ``layers`` at
     ``shape``; a residual group contributes its inner layers' rows. Each
     layer checks the shape it gets before it is counted at that shape, so a
@@ -65,15 +64,15 @@ def _walk(layers, shape, bias, prefix=""):
         name = f"{prefix}{i}"
         out = layer.out_shape(*shape)
         if layer.kind == "res":
-            rows += _walk(layer.body, shape, bias, f"{name}.res.")
+            rows += _walk(layer.body, shape, f"{name}.res.")
         else:
             rows.append((f"{name}.{layer.kind}", layer.param_count(),
-                         layer.mult_adds(*shape[1:], bias)))
+                         layer.mult_adds(*shape[1:])))
         shape = out
     return rows
 
 
-def count_mult_adds(spec, input_shape=None, bits=32, count_bias_adds=False):
+def count_mult_adds(spec, input_shape=None, bits=32):
     """Per-layer and total accounting for one forward pass of a single sample."""
     if not isinstance(spec, NetworkSpec):
         raise ConfigError("count_mult_adds expects a NetworkSpec")
@@ -83,18 +82,14 @@ def count_mult_adds(spec, input_shape=None, bits=32, count_bias_adds=False):
     if input_shape[0] != spec.input_shape[0]:
         raise ConfigError(f"input shape {input_shape} disagrees with spec "
                           f"channels {spec.input_shape[0]}")
-    raw = _walk(spec.layers, input_shape, count_bias_adds)
+    raw = _walk(spec.layers, input_shape)
     rows = [LayerRow(name, p, ma, math.ceil(p * bits / 8)) for name, p, ma in raw]
     return ComplexityReport(
         rows=rows,
         total_params=sum(r.params for r in rows),
         total_mult_adds=sum(r.mult_adds for r in rows),
         total_bytes=sum(r.bytes_at_bits for r in rows),
-        input_shape=input_shape, bits=bits)
-
-
-def count_params(spec):
-    return count_mult_adds(spec).total_params
+        bits=bits)
 
 
 @dataclass(frozen=True)
@@ -116,18 +111,18 @@ class RatioEntry:
 
 def compare(models):
     """All ordered pairwise ratios A/B of params, mult-adds, and weight memory
-    (params * bits). Full precision; round only for display."""
+    (params * bits) of a sequence of ``ModelRow``. Full precision; round only
+    for display."""
     if len(models) < 2:
         raise ConfigError("compare needs at least two models")
-    rows = [m if isinstance(m, ModelRow) else ModelRow(*m) for m in models]
-    for r in rows:
+    for r in models:
         if not (0 < r.params < math.inf and 0 < r.mult_adds < math.inf
                 and 1 <= r.bits < math.inf):
             raise ConfigError(f"{r.name}: params and mult-adds must be finite and > 0, "
                               "and bits finite and >= 1")
     entries = []
-    for a in rows:
-        for b in rows:
+    for a in models:
+        for b in models:
             if a is b:
                 continue
             entries.append(RatioEntry(

@@ -98,12 +98,11 @@ class ConvSpec:
     def weight_shape(self):
         return (self.c_out, self.c_in // self.groups, *self.kernel)
 
-    def mult_adds(self, h, w, bias=False):
-        """Forward mult-adds of one image at an h x w input; ``bias`` adds one
-        per output element."""
+    def mult_adds(self, h, w):
+        """Forward mult-adds of one image at an h x w input."""
         oh, ow = self.out_hw(h, w)
         kh, kw = self.kernel
-        return (kh * kw * (self.c_in // self.groups) + bias) * self.c_out * oh * ow
+        return kh * kw * (self.c_in // self.groups) * self.c_out * oh * ow
 
 
 class ParamTable:
@@ -379,23 +378,19 @@ def fc_backward(grad_out, saved_input, weights):
 
 
 def softmax(logits):
-    """Row-wise softmax with max subtraction; accepts (n, k) or (k,)."""
+    """Row-wise softmax of (n, k) logits, with max subtraction."""
     z = np.asarray(logits, dtype=np.float64)
     if z.size == 0:
         raise ConfigError("softmax of an empty vector")
-    squeeze = z.ndim == 1
-    if squeeze:
-        z = z[None, :]
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-    return p[0] if squeeze else p
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def nll(probs, labels):
-    """Negative log-likelihood of each row's true class, its probability floored at 1e-300."""
-    p = np.atleast_2d(np.asarray(probs, dtype=np.float64))
-    labels = np.atleast_1d(np.asarray(labels))
+    """Negative log-likelihood of each (n, k) row's true class, its
+    probability floored at 1e-300."""
+    p = np.asarray(probs, dtype=np.float64)
     picked = p[np.arange(p.shape[0]), labels]
     return -np.log(np.maximum(picked, 1e-300))
 
@@ -406,9 +401,8 @@ def cross_entropy(probs, labels):
 
 
 def softmax_xent_backward(probs, labels):
-    """Gradient of mean cross-entropy wrt logits: (probs - one_hot) / n."""
-    p = np.atleast_2d(np.asarray(probs, dtype=np.float64)).copy()
-    labels = np.atleast_1d(np.asarray(labels))
+    """Gradient of mean cross-entropy wrt (n, k) logits: (probs - one_hot) / n."""
+    p = np.array(probs, dtype=np.float64)
     p[np.arange(p.shape[0]), labels] -= 1.0
     return p / p.shape[0]
 

@@ -52,7 +52,7 @@ class FormatError(ValueError):
 
 
 # Layer specs. Each one answers the same questions: ``kind`` (its name in
-# parameter and report rows), ``out_shape(c, h, w)``, ``mult_adds(h, w, bias)``
+# parameter and report rows), ``out_shape(c, h, w)``, ``mult_adds(h, w)``
 # for one image and ``param_shapes()``, its parameters as an ordered name ->
 # shape table, from which the ``ParamTable`` mixin derives ``param_count()``
 # and ``init_params(rng)``; VacConfig and PepeConfig answer them in their own
@@ -69,15 +69,15 @@ class ConvLayer(K.ParamTable):
     def param_shapes(self):
         return {"w": self.spec.weight_shape(), "b": (self.spec.c_out,)}
 
-    def mult_adds(self, h, w, bias=False):
-        return self.spec.mult_adds(h, w, bias)
+    def mult_adds(self, h, w):
+        return self.spec.mult_adds(h, w)
 
 
 class _Weightless(K.ParamTable):
     def param_shapes(self):
         return {}
 
-    def mult_adds(self, h, w, bias=False):
+    def mult_adds(self, h, w):
         return 0
 
 
@@ -101,8 +101,8 @@ class FcLayer(K.ParamTable):
     def param_shapes(self):
         return {"w": (self.out, self.c_in), "b": (self.out,)}
 
-    def mult_adds(self, h, w, bias=False):
-        return (self.c_in + bias) * self.out
+    def mult_adds(self, h, w):
+        return self.c_in * self.out
 
 
 @dataclass(frozen=True)
@@ -503,7 +503,8 @@ def load(path):
     """Read a .acnk or .acnk8 model file into a network. Each int8 weight is
     dequantized into its parameter and kept in ``net.blobs``. Any size is
     checked against the bytes left in the file before it is used; a corrupt
-    file raises FormatError."""
+    file, a non-finite float64 value or int8 scale included, raises
+    FormatError."""
     with open(path, "rb") as fh:
         data = memoryview(fh.read())
     pos = 0
@@ -544,7 +545,10 @@ def load(path):
             if nbytes != 8 * arr.size:
                 raise FormatError(f"blob {name} has {nbytes} bytes, "
                                   f"expected {8 * arr.size}")
-            arr[...] = np.frombuffer(take(nbytes, name), dtype="<f8").reshape(arr.shape)
+            values = np.frombuffer(take(nbytes, name), dtype="<f8")
+            if not np.isfinite(values).all():
+                raise FormatError(f"blob {name} has a value that is not finite")
+            arr[...] = values.reshape(arr.shape)
         elif tag == 1:
             per_channel, n_scales, n_values = unpack("<BIQ", name)
             if per_channel > 1 or (per_channel and arr.ndim < 2):

@@ -63,10 +63,10 @@ class PepeConfig(K.ParamTable):
         """``<conv>_w``/``<conv>_b`` for each conv in pipeline order."""
         return K.conv_param_shapes(self.convs)
 
-    def mult_adds(self, h, w, bias=False):
+    def mult_adds(self, h, w):
         total = 0
         for spec in self.convs.values():
-            total += spec.mult_adds(h, w, bias)
+            total += spec.mult_adds(h, w)
             h, w = spec.out_hw(h, w)
         return total
 

@@ -60,14 +60,11 @@ def quantize_weights(net, mode=PER_CHANNEL):
     return qnet
 
 
-def weight_memory_bytes(net, bits_per_weight, include_scales=False):
-    """ceil(params * bits / 8); optionally adds 4 bytes per stored scale."""
+def weight_memory_bytes(net, bits_per_weight):
+    """ceil(params * bits / 8); the int8 scales are not counted."""
     if bits_per_weight not in (8, 32):
         raise ConfigError(f"bits must be 8 or 32, got {bits_per_weight}")
-    nbytes = math.ceil(net.param_count() * bits_per_weight / 8)
-    if include_scales:
-        nbytes += 4 * sum(b.scales.size for b in net.blobs.values())
-    return nbytes
+    return math.ceil(net.param_count() * bits_per_weight / 8)
 
 
 # .acnk8 files are netbuilder model files whose int8 weights are tag-1 blobs.

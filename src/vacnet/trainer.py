@@ -54,7 +54,6 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 1
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if not 0 <= self.lr < math.inf:
@@ -150,9 +149,10 @@ def _check_dataset(net, dataset, action):
 def train(net, dataset, config):
     """Minibatch SGD with momentum. Deterministic given config.seed.
 
-    Shuffling uses numpy's PCG64 generator seeded with config.seed, so runs
-    reproduce bitwise. The network's int8 blobs are dropped, since training
-    moves the weights away from them.
+    Each epoch visits the images in a fresh permutation from numpy's PCG64
+    generator seeded with config.seed, so runs reproduce bitwise. The
+    network's int8 blobs are dropped, since training moves the weights away
+    from them.
     """
     _check_dataset(net, dataset, "train on")
     net.blobs.clear()
@@ -161,8 +161,7 @@ def train(net, dataset, config):
     report = TrainReport()
     step = 0
     for epoch in range(config.epochs):
-        order = rng.permutation(len(dataset)) if config.shuffle \
-            else np.arange(len(dataset))
+        order = rng.permutation(len(dataset))
         losses = []
         correct = 0
         for start in range(0, len(dataset), config.batch_size):

@@ -87,16 +87,16 @@ class VacConfig(K.ParamTable):
         return {**K.conv_param_shapes(self.convs),
                 "scale": (self.c_down,) if self.per_channel_scale else ()}
 
-    def mult_adds(self, h, w, bias=False):
+    def mult_adds(self, h, w):
         """The four convolutions (the embedding runs on the pooled grid) plus
         the gating: one multiply for the attention product and one for the
         scale, per element of the down-mixed activation."""
         pk, ps = self.pool
         qh, qw = (h - pk) // ps + 1, (w - pk) // ps + 1
         c = self.convs
-        return (c["down"].mult_adds(h, w, bias) + c["embed_grouped"].mult_adds(qh, qw, bias)
-                + c["embed_pointwise"].mult_adds(qh, qw, bias)
-                + 2 * self.c_down * h * w + c["up"].mult_adds(h, w, bias))
+        return (c["down"].mult_adds(h, w) + c["embed_grouped"].mult_adds(qh, qw)
+                + c["embed_pointwise"].mult_adds(qh, qw)
+                + 2 * self.c_down * h * w + c["up"].mult_adds(h, w))
 
 
 def _expand_nearest_maps(h, w, qh, qw, stride):

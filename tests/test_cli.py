@@ -115,6 +115,22 @@ class TestExitCodes:
             nb.load(path)
         assert self.eval_exit_code(tmp_path, path, capsys) == 3
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float64_value_exit_3(self, tmp_path, capsys, value):
+        path, raw = self.saved_model(tmp_path)
+        first_blob = 12 + len(SPEC_TEXT) + 4
+        assert raw[first_blob] == 0  # tag B, byte count Q, then float64 values
+        struct.pack_into("<d", raw, first_blob + 9, value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(nb.FormatError, match="blob 0.conv.w has a value that is not finite"):
+            nb.load(path)
+        assert self.eval_exit_code(tmp_path, path, capsys) == 3
+        out_dir = tmp_path / "q"
+        code = cli.main(["quantize", "--model", str(path), "--out", str(out_dir / "m.acnk8")])
+        assert code == 3
+        assert "error:" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("word", [b"\xff\xfe\xfd\xfc", b"cnov"])  # not UTF-8; no parse
     def test_bad_spec_text_exit_3(self, tmp_path, capsys, word):
         path, raw = self.saved_model(tmp_path)
@@ -272,7 +288,44 @@ class TestEvalQuantize:
         assert "4.00x reduction" in capsys.readouterr().out
 
 
+# `vacnet count` CSV for each reference spec at the default 32 bits, every row.
+COUNT_CSV = {
+    "attendnet-micro-a": """\
+name,params,mult_adds,bits,bytes
+0.conv,160,28224,32,640
+1.vac,1009,87808,32,4036
+2.vac,1009,87808,32,4036
+3.conv,4640,225792,32,18560
+4.pepe,1920,89376,32,7680
+5.res.0.pepe,1920,89376,32,7680
+6.gap,0,0,32,0
+7.fc,330,320,32,1320
+8.softmax,0,0,32,0
+total,10988,608704,32,43952
+""",
+    "attendnet-micro-b": """\
+name,params,mult_adds,bits,bytes
+0.conv,448,442368,32,1792
+1.vac,1009,458752,32,4036
+2.conv,4640,1179648,32,18560
+3.vac,2785,376832,32,11140
+4.conv,13872,884736,32,55488
+5.pepe,4032,248832,32,16128
+6.res.0.pepe,4032,248832,32,16128
+7.gap,0,0,32,0
+8.fc,490,480,32,1960
+9.softmax,0,0,32,0
+total,31308,3840480,32,125232
+""",
+}
+
+
 class TestCountCompare:
+    @pytest.mark.parametrize("name", sorted(COUNT_CSV))
+    def test_count_csv_pinned(self, capsys, name):
+        assert cli.main(["count", "--spec", name]) == 0
+        assert capsys.readouterr().out.endswith("\n\n" + COUNT_CSV[name])
+
     def test_count_matches_module_report(self, tmp_path, capsys):
         code = cli.main(["count", "--spec", "attendnet-micro-a"])
         assert code == 0

@@ -7,14 +7,14 @@ from vacnet import netbuilder as nb
 from vacnet.kernels import ConfigError
 
 # Published model rows: name, params, mult-adds, weight bits.
-TABLE_ROWS = [
+TABLE_ROWS = [cx.ModelRow(*row) for row in [
     ("mobilenet-v1", 3_260_000, 567_500_000, 32),
     ("mobilenet-v2", 2_290_000, 299_700_000, 32),
     ("attonet-a", 2_970_000, 424_800_000, 32),
     ("attonet-b", 1_870_000, 277_500_000, 32),
     ("attendnet-a", 1_386_000, 276_800_000, 8),
     ("attendnet-b", 782_000, 191_300_000, 8),
-]
+]]
 
 
 def one_conv_spec(input_line, conv_line):
@@ -74,13 +74,6 @@ class TestCountMultAdds:
         assert report.total_mult_adds == sum(r.mult_adds for r in report.rows)
         assert all(r.params >= 0 and r.mult_adds >= 0 for r in report.rows)
 
-    def test_bias_adds_flag_increases_count(self):
-        spec = one_conv_spec("input 3 4 4", "conv k1 c8")
-        base = cx.count_mult_adds(spec).total_mult_adds
-        with_bias = cx.count_mult_adds(spec, count_bias_adds=True).total_mult_adds
-        # conv adds c_out*oh*ow = 8*16, fc adds out = 2
-        assert with_bias == base + 128 + 2
-
     def test_bytes_at_bits(self):
         spec = one_conv_spec("input 3 4 4", "conv k1 c8")
         r32 = cx.count_mult_adds(spec, bits=32)
@@ -104,11 +97,11 @@ class TestCountParams:
         spec = nb.reference_spec(name)
         net = nb.compile_spec(spec, seed=0)
         allocated = sum(arr.size for _, arr in net.parameters())
-        assert cx.count_params(spec) == allocated == net.param_count()
+        assert cx.count_mult_adds(spec).total_params == allocated == net.param_count()
 
     def test_fc_only_tail(self):
         spec = nb.parse_dsl("input 4 3 3\ngap\nfc 2\nsoftmax\n")
-        assert cx.count_params(spec) == 10  # 4*2 weights + 2 biases
+        assert cx.count_mult_adds(spec).total_params == 10  # 4*2 weights + 2 biases
 
 
 class TestCompare:
@@ -124,7 +117,7 @@ class TestCompare:
         assert e.mult_adds_ratio == pytest.approx(1.45, abs=0.005)
 
     def test_identical_rows_give_unit_ratios(self):
-        rows = [("a", 100, 200, 32), ("b", 100, 200, 32)]
+        rows = [cx.ModelRow("a", 100, 200, 32), cx.ModelRow("b", 100, 200, 32)]
         for e in cx.compare(rows):
             assert e.params_ratio == e.mult_adds_ratio == e.memory_ratio == 1.0
 
@@ -141,11 +134,11 @@ class TestCompare:
 
     def test_needs_two_rows(self):
         with pytest.raises(ConfigError):
-            cx.compare([("a", 1, 1, 32)])
+            cx.compare([cx.ModelRow("a", 1, 1, 32)])
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ConfigError):
-            cx.compare([("a", 0, 1, 32), ("b", 1, 1, 32)])
+            cx.compare([cx.ModelRow("a", 0, 1, 32), cx.ModelRow("b", 1, 1, 32)])
 
 
 class TestReports:

@@ -562,23 +562,23 @@ class TestFc:
 
 class TestSoftmaxXent:
     def test_uniform_and_ln10(self):
-        p = K.softmax(np.zeros(10))
-        np.testing.assert_allclose(p, np.full(10, 0.1), atol=1e-15)
+        p = K.softmax(np.zeros((1, 10)))
+        np.testing.assert_allclose(p, np.full((1, 10), 0.1), atol=1e-15)
         assert K.cross_entropy(p, np.array([3])) == pytest.approx(np.log(10), abs=1e-12)
 
     def test_large_logits_stable(self):
-        p = K.softmax(np.array([1000.0, 0.0]))
-        np.testing.assert_allclose(p, [1.0, 0.0], atol=1e-300)
+        p = K.softmax(np.array([[1000.0, 0.0]]))
+        np.testing.assert_allclose(p, [[1.0, 0.0]], atol=1e-300)
         assert np.isfinite(p).all()
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
-            K.softmax(np.array([]))
+            K.softmax(np.zeros((0, 10)))
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12))
     @settings(max_examples=60, deadline=None)
     def test_simplex_property(self, logits):
-        p = K.softmax(np.array(logits))
+        p = K.softmax(np.array([logits]))
         assert (p >= 0).all()
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
 

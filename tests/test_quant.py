@@ -159,13 +159,6 @@ class TestWeightMemory:
         with pytest.raises(ConfigError):
             weight_memory_bytes(make_net(), 16)
 
-    def test_scales_flag(self):
-        qnet = quantize_weights(make_net(), PER_CHANNEL)
-        base = weight_memory_bytes(qnet, 8)
-        with_scales = weight_memory_bytes(qnet, 8, include_scales=True)
-        n_scales = sum(b.scales.size for b in qnet.blobs.values())
-        assert with_scales == base + 4 * n_scales
-
 
 class TestQuantizedFile:
     def test_roundtrip(self, tmp_path):
