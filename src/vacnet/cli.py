@@ -183,11 +183,11 @@ def build_parser():
                    help="DSL file path or reference spec name")
     p.add_argument("--data", required=True)
     p.add_argument("--labels", default=None)
-    p.add_argument("--epochs", type=int, default=1)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=trainer.TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=trainer.TrainConfig.lr)
+    p.add_argument("--momentum", type=float, default=trainer.TrainConfig.momentum)
+    p.add_argument("--batch", type=int, default=trainer.TrainConfig.batch_size)
+    p.add_argument("--seed", type=int, default=trainer.TrainConfig.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -219,16 +219,16 @@ def build_parser():
     p.add_argument("--space", required=True, help="search space JSON file")
     p.add_argument("--budget", type=int, default=8)
     p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--bits", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kappa", type=float, default=2.0)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--gamma", type=float, default=0.5)
+    p.add_argument("--bits", type=int, default=explore.IndicatorConfig.bits)
+    p.add_argument("--seed", type=int, default=trainer.TrainConfig.seed)
+    p.add_argument("--kappa", type=float, default=explore.PerformanceFunction.kappa)
+    p.add_argument("--beta", type=float, default=explore.PerformanceFunction.beta)
+    p.add_argument("--gamma", type=float, default=explore.PerformanceFunction.gamma)
     p.add_argument("--data", default=None)
     p.add_argument("--labels", default=None)
-    p.add_argument("--epochs", type=int, default=1)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--batch", type=int, default=64)
+    p.add_argument("--epochs", type=int, default=trainer.TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=trainer.TrainConfig.lr)
+    p.add_argument("--batch", type=int, default=trainer.TrainConfig.batch_size)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_search)
 

@@ -111,11 +111,14 @@ class RatioEntry:
 
 def compare(models):
     """All ordered pairwise ratios A/B of params, mult-adds, and weight memory
-    (params * bits) of a sequence of ``ModelRow``. Full precision; round only
-    for display."""
+    (params * bits) of a sequence of ``ModelRow`` with distinct names. Full
+    precision; round only for display."""
     if len(models) < 2:
         raise ConfigError("compare needs at least two models")
+    names = [r.name for r in models]
     for r in models:
+        if names.count(r.name) > 1:
+            raise ConfigError(f"model {r.name!r} is named more than once")
         if not (0 < r.params < math.inf and 0 < r.mult_adds < math.inf
                 and 1 <= r.bits < math.inf):
             raise ConfigError(f"{r.name}: params and mult-adds must be finite and > 0, "

@@ -165,7 +165,7 @@ class Candidate:
         return {"candidate_id": self.candidate_id, "spec_hash": self.spec_hash,
                 "top1": self.top1, "params": self.params,
                 "mult_adds": self.mult_adds, "feasible": self.feasible,
-                "U": self.u}
+                "U": self.u if math.isfinite(self.u) else None}
 
 
 @dataclass
@@ -178,7 +178,8 @@ class SearchResult:
         return not self.feasible
 
     def audit_jsonl(self):
-        return "\n".join(json.dumps(c.audit_record()) for c in self.audit) + "\n"
+        return "\n".join(json.dumps(c.audit_record(), allow_nan=False)
+                         for c in self.audit) + "\n"
 
 
 def search(space, budget, indicator_cfg, pf, eval_fn, seed=0):

@@ -10,6 +10,9 @@ as its window's first tap. Its backward is the unpool scatter:
 so a tracer times each apart.
 ``conv2d_backward`` reuses a per-thread scratch array, sized to the largest
 patch matrix seen, for transients that never leave it.
+A ``ConvSpec`` checks its channels, kernel, stride, padding and groups when
+built, and ``conv2d_forward`` checks its input's rank and channels, so a block
+made of convs restates neither; ``check_finite`` is the divergence scan.
 A layer spec states its parameters once, as the ``param_shapes()`` table that
 the ``ParamTable`` mixin counts and initialises. A block's conv ``<name>`` holds
 ``<name>_w``/``<name>_b``, shaped by ``conv_param_shapes`` and run by
@@ -46,16 +49,10 @@ class NonFiniteError(ArithmeticError):
     """An activation holds NaN or infinity: the run has diverged."""
 
 
-def check_tensor(x, name="tensor"):
-    """Validate the rank-4 activation contract (rank, positive dims, finite)."""
-    x = np.asarray(x)
-    if x.ndim != 4:
-        raise ShapeError(f"{name} must be rank-4 (n, c, h, w), got shape {x.shape}")
-    if min(x.shape) < 1:
-        raise ShapeError(f"{name} has an empty dimension: {x.shape}")
-    if not np.all(np.isfinite(x)):
+def check_finite(x, name):
+    """Raise NonFiniteError if ``x`` holds a NaN or infinity."""
+    if not np.isfinite(x).all():  # the method form skips np.all's dispatch
         raise NonFiniteError(f"{name} contains non-finite values")
-    return x
 
 
 @dataclass(frozen=True)
@@ -110,7 +107,8 @@ class ParamTable:
     parameter name -> shape table; the count and the initial values follow
     from it. ``init_params(rng)`` draws in table order: a weight of rank >= 2
     gets U(-sqrt(6/fan_in), +sqrt(6/fan_in)), fan_in being the product of its
-    trailing axes; ``scale`` starts at 1 and every other parameter at 0."""
+    trailing axes, or 0 when ``rng`` is None; ``scale`` starts at 1 and every
+    other parameter at 0."""
 
     def param_count(self):
         return sum(math.prod(shape) for shape in self.param_shapes().values())
@@ -118,7 +116,7 @@ class ParamTable:
     def init_params(self, rng):
         p = {}
         for name, shape in self.param_shapes().items():
-            if len(shape) >= 2:
+            if len(shape) >= 2 and rng is not None:
                 bound = np.sqrt(6.0 / math.prod(shape[1:]))
                 p[name] = rng.uniform(-bound, bound, size=shape)
             else:

@@ -388,14 +388,6 @@ def _compile_layer(layer, rng):
     return (ResidualBlock if layer.kind == "res" else Block)(layer, rng)
 
 
-class _Zeros:
-    """The generator of a network compiled with no seed: weights start at 0."""
-
-    @staticmethod
-    def uniform(low, high, size):
-        return np.zeros(size)
-
-
 class Network:
     """Compiled network: ordered blocks with allocated parameters. ``blobs``
     maps the name of each int8 weight to its QuantizedBlob, whose dequantized
@@ -403,7 +395,7 @@ class Network:
 
     def __init__(self, spec, seed):
         self.spec = spec
-        rng = _Zeros if seed is None else np.random.Generator(np.random.PCG64(seed))
+        rng = None if seed is None else np.random.Generator(np.random.PCG64(seed))
         self.blocks = [_compile_layer(l, rng) for l in spec.layers]
         self.blobs = {}
         self._probs = None
@@ -434,7 +426,7 @@ class Network:
 
     def _run(self, x, method):
         c, h, w = self.spec.input_shape
-        if x.ndim != 4 or x.shape[1:] != (c, h, w):
+        if x.ndim != 4 or x.shape[1:] != (c, h, w) or not len(x):
             raise ShapeError(f"batch shape {x.shape} does not match "
                              f"network input (n, {c}, {h}, {w})")
         for i, b in enumerate(self.blocks):
@@ -442,6 +434,7 @@ class Network:
                 x = getattr(b, method)(x)
             except K.NonFiniteError as e:
                 raise K.NonFiniteError(f"block {i} ({b.kind}): {e}") from e
+        K.check_finite(x, "network output")
         return x
 
     def loss_and_backward(self, labels):

@@ -28,17 +28,13 @@ class PepeConfig(K.ParamTable):
     kind = "pepe"
 
     def __post_init__(self):
-        if min(self.p1, self.p2, self.dw_kernel, self.stride) < 1:
-            raise ConfigError(f"p1, p2, dw_kernel and stride must be >= 1: {self}")
         if not self.p1 < self.c_in:
             raise ConfigError(f"first projection must reduce: p1={self.p1} >= c_in={self.c_in}")
         if not self.p2 < self.e1:
             raise ConfigError(f"second projection must reduce: p2={self.p2} >= e1={self.e1}")
-        if self.e1 < self.p1 or self.e2 < self.p2:
+        if self.e2 < self.p2:
             raise ConfigError("expansions must not reduce channel count")
-        if self.e1 % self.p1:
-            raise ConfigError(f"depthwise multiplier e1/p1 must be an integer, "
-                              f"got {self.e1}/{self.p1}")
+        self.convs  # each ConvSpec checks its channels, kernel, stride and groups
 
     @functools.cached_property
     def convs(self):
@@ -72,9 +68,7 @@ class PepeConfig(K.ParamTable):
 
 
 def pepe_forward(x, p, config):
-    x = K.check_tensor(x, "pepe input")
-    if x.shape[1] != config.c_in:
-        raise ConfigError(f"input has {x.shape[1]} channels, config expects {config.c_in}")
+    K.check_finite(x, "pepe input")
     acts = [x]
     for name in config.convs:
         acts.append(K.relu_forward(K.named_conv_forward(acts[-1], p, config.convs, name)))

@@ -34,9 +34,6 @@ class VacConfig(K.ParamTable):
     kind = "vac"
 
     def __post_init__(self):
-        if min(self.c_down, self.e1, self.embed_kernel, self.embed_groups) < 1:
-            raise ConfigError("c_down, e1, embed_kernel and embed_groups must be >= 1, "
-                              f"got {self}")
         if self.c_down > self.c_in:
             raise ConfigError(f"c_down={self.c_down} must not exceed c_in={self.c_in}")
         if self.c_up != self.c_in:
@@ -44,9 +41,6 @@ class VacConfig(K.ParamTable):
         if self.e2 != self.c_down:
             raise ConfigError(f"e2={self.e2} must equal c_down={self.c_down} "
                               "so attention values live on the down-mixed grid")
-        if self.c_down % self.embed_groups or self.e1 % self.embed_groups:
-            raise ConfigError(f"embed_groups={self.embed_groups} must divide "
-                              f"c_down={self.c_down} and e1={self.e1}")
         if self.embed_kernel % 2 == 0:
             raise ConfigError(f"embed_kernel={self.embed_kernel} must be odd, so that "
                               "the padded embedding keeps the pooled grid")
@@ -54,6 +48,7 @@ class VacConfig(K.ParamTable):
             raise ConfigError(f"bad pool {self.pool}")
         if self.expand_mode not in ("unpool", "nearest"):
             raise ConfigError(f"unknown expand_mode {self.expand_mode!r}")
+        self.convs  # each ConvSpec checks its channels, kernel and groups
 
     @functools.cached_property
     def convs(self):
@@ -108,10 +103,7 @@ def _expand_nearest_maps(h, w, qh, qw, stride):
 def vac_forward(v, p, config):
     """Run the block on parameters ``p`` (from ``config.init_params``);
     returns (output, cache) where cache feeds vac_backward."""
-    v = K.check_tensor(v, "vac input")
-    if v.shape[1] != config.c_in:
-        raise ConfigError(f"input has {v.shape[1]} channels, config expects {config.c_in}")
-    n, _, h, w = v.shape
+    K.check_finite(v, "vac input")
     pk, ps = config.pool
     convs = config.convs
 
@@ -123,7 +115,7 @@ def vac_forward(v, p, config):
         attn = K.unpool2d_forward(k_sig, idx, v_down.shape)
         nearest_maps = None
     else:
-        qh, qw = k_sig.shape[2:]
+        (h, w), (qh, qw) = v_down.shape[2:], k_sig.shape[2:]
         rows, cols = _expand_nearest_maps(h, w, qh, qw, ps)
         attn = k_sig[:, :, rows[:, None], cols[None, :]]
         nearest_maps = (rows, cols)

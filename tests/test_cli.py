@@ -131,6 +131,20 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_output_exit_3(self, tmp_path, capsys):
+        # 1e300 is finite, so the model loads; eval's float32 cast of it is
+        # not, and the first non-finite value appears after the last block
+        path = tmp_path / "m.acnk"
+        net = nb.compile_spec(nb.parse_dsl(SPEC_TEXT), seed=0)
+        net.blocks[3].p["w"][...] = 1e300  # fc
+        nb.save(net, path)
+        img, lab = write_idx_pair(tmp_path)
+        code = cli.main(["eval", "--model", str(path), "--data", img, "--labels", lab])
+        assert code == 3
+        assert capsys.readouterr().err == "error: network output contains non-finite values\n"
+
     @pytest.mark.parametrize("word", [b"\xff\xfe\xfd\xfc", b"cnov"])  # not UTF-8; no parse
     def test_bad_spec_text_exit_3(self, tmp_path, capsys, word):
         path, raw = self.saved_model(tmp_path)
@@ -379,6 +393,13 @@ class TestCountCompare:
         assert "16.68" in out   # weight-memory ratio, ~16.7x
         assert "2.97" in out    # mult-add ratio, ~3x
 
+    def test_compare_repeated_name_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "rows.csv"
+        p.write_text("name,params,mult_adds,bits\na,1,2,32\na,1,2,32\n")
+        code = cli.main(["compare", "--csv", str(p)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: model 'a' is named more than once\n"
+
     def test_compare_missing_file_exit_2(self, tmp_path, capsys):
         code = cli.main(["compare", "--csv", str(tmp_path / "none.csv")])
         assert code == 2
@@ -427,6 +448,21 @@ class TestSearchCommand:
             assert cand.spec_hash in line
         audit = (tmp_path / "srch" / "audit.jsonl").read_text()
         assert audit == expected.audit_jsonl()
+
+    def test_audit_is_strict_json(self, tmp_path, capsys):
+        p, texts, metrics = self.make_space(tmp_path)
+        metrics[explore.spec_hash(texts[0])]["top1"] = 0.0  # scores U = -inf
+        p.write_text(json.dumps({"candidates": texts, "metrics": metrics}))
+        code = cli.main(["search", "--space", str(p), "--budget", "4", "--tau", "0.7",
+                         "--out", str(tmp_path / "srch")])
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+        lines = (tmp_path / "srch" / "audit.jsonl").read_text().splitlines()
+        records = [json.loads(line, parse_constant=reject) for line in lines]
+        assert [r["U"] for r in records if r["top1"] == 0.0] == [None]
+        assert all(isinstance(r["U"], float) for r in records if r["top1"] > 0)
 
     def test_training_search_feasible_at_default_bits(self, tmp_path, capsys):
         # trained candidates are scored as int8 networks, so they meet the

@@ -167,6 +167,17 @@ class TestParse:
                   for word, table in nb.OPTIONS.items() for key, default in table.items()}
         assert documented == parser
 
+    # The DSL keys differ from the field names, so each default is written in
+    # OPTIONS and again in the dataclass; a directive with only its required
+    # options must build the layer the dataclass defaults describe.
+    @pytest.mark.parametrize("line, layer", [
+        ("conv c4", nb.ConvLayer(ConvSpec(2, 4))),
+        ("vac dm2 e1:2 e2:2 um2", VacConfig(c_in=2, c_down=2, e1=2, e2=2, c_up=2)),
+        ("pepe p1:1 e1:2 p2:1 e2:2", PepeConfig(c_in=2, p1=1, e1=2, p2=1, e2=2)),
+    ])
+    def test_option_defaults_equal_dataclass_defaults(self, line, layer):
+        assert nb.parse_dsl(f"input 2 8 8\n{line}\ngap\nfc 2\nsoftmax\n").layers[0] == layer
+
 
 def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
@@ -316,6 +327,13 @@ class TestInitialisation:
             assert got[name].shape == want[name].shape
             assert got[name].tobytes() == want[name].tobytes(), name
         assert layer.param_count() == sum(a.size for a in want.values())
+
+    @pytest.mark.parametrize("layer, table", INIT_CASES)
+    def test_no_rng_leaves_weights_at_zero_and_scale_at_one(self, layer, table):
+        got = layer.init_params(None)
+        assert [(name, arr.shape) for name, arr in got.items()] == table
+        for name, arr in got.items():
+            assert (arr == (name == "scale")).all(), name
 
 
 class TestOracleAgreement:
@@ -479,6 +497,12 @@ class TestForwardBackward:
         from vacnet.kernels import ShapeError
         with pytest.raises(ShapeError):
             net.forward(np.zeros((1, 3, 28, 28)))
+
+    def test_empty_batch_rejected(self):
+        net = nb.compile_spec(nb.parse_dsl(TINY), seed=0)
+        for run in (net.forward, net.predict):
+            with pytest.raises(ShapeError):
+                run(np.zeros((0, 1, 28, 28)))
 
 
     def test_forward_caches_only_relu_outputs(self):

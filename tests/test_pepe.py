@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import assert_close_grad, numeric_grad
 from vacnet import kernels as K
-from vacnet.kernels import ConfigError, IntegrityError
+from vacnet.kernels import ConfigError, IntegrityError, ShapeError
 from vacnet.pepe import PepeConfig, pepe_backward, pepe_forward
 
 
@@ -22,6 +24,14 @@ class TestConfig:
             PepeConfig(c_in=32, p1=8, e1=4, p2=2, e2=32)     # e1 shrinks
         with pytest.raises(ConfigError):
             PepeConfig(c_in=32, p1=8, e1=12, p2=8, e2=32)    # non-integer multiplier
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-1, 5), min_size=7, max_size=7))
+    def test_small_ints_raise_only_config_error(self, ints):
+        try:
+            PepeConfig(*ints)
+        except ConfigError:
+            pass
 
 
 class TestForward:
@@ -50,8 +60,13 @@ class TestForward:
 
     def test_wrong_channels_rejected(self):
         cfg, params = make()
-        with pytest.raises(ConfigError):
+        with pytest.raises(ShapeError):
             pepe_forward(np.zeros((1, 16, 8, 8)), params, cfg)
+
+    def test_rank_3_input_rejected(self):
+        cfg, params = make()
+        with pytest.raises(ShapeError):
+            pepe_forward(np.zeros((32, 8, 8)), params, cfg)
 
 
 class TestBackward:

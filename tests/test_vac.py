@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import assert_close_grad, numeric_grad
 from vacnet import kernels as K
-from vacnet.kernels import ConfigError, IntegrityError
+from vacnet.kernels import ConfigError, IntegrityError, ShapeError
 from vacnet.vac import VacConfig, vac_backward, vac_forward
 
 
@@ -24,6 +26,18 @@ class TestConfig:
             VacConfig(c_in=8, c_down=4, e1=4, e2=2, c_up=8)   # e2 != c_down
         with pytest.raises(ConfigError):
             VacConfig(c_in=8, c_down=4, e1=4, e2=4, c_up=8, embed_groups=3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-1, 4), min_size=7, max_size=7))
+    def test_small_ints_raise_only_config_error(self, ints):
+        # e2 and c_up take the one value each may have, so that most draws
+        # reach the conv checks
+        c_in, c_down, e1, pk, ps, ek, groups = ints
+        try:
+            VacConfig(c_in, c_down, e1, c_down, c_in, pool=(pk, ps), embed_kernel=ek,
+                      embed_groups=groups)
+        except ConfigError:
+            pass
 
     def test_even_embed_kernel_rejected(self):
         with pytest.raises(ConfigError, match="must be odd"):
@@ -133,8 +147,13 @@ class TestForward:
 
     def test_channel_mismatch_rejected(self):
         cfg, params = make()
-        with pytest.raises(ConfigError):
+        with pytest.raises(ShapeError):
             vac_forward(np.zeros((1, 8, 8, 8)), params, cfg)
+
+    def test_rank_3_input_rejected(self):
+        cfg, params = make()
+        with pytest.raises(ShapeError):
+            vac_forward(np.zeros((16, 8, 8)), params, cfg)
 
 
 class TestBackward:
