@@ -2,8 +2,11 @@
 
 All activations and weights are numpy arrays. Activations are rank-4 with
 layout (batch, channels, rows, cols); convolution weights are
-(c_out, c_in/groups, kh, kw). Every op is a pure function: forward ops
+(c_out, c_in/groups, kh, kw). Every op is a pure function, except that
+``relu_forward(x, out=x)`` rectifies a fresh conv output in place: forward ops
 return new arrays, backward ops take saved forward inputs or outputs explicitly.
+``fc_forward`` forms each row as its own product, so a row's bits do not
+depend on the batch around it.
 Max-pool picks the lowest flat offset among equal maxima, and a NaN wins only
 as its window's first tap. Its backward is the unpool scatter:
 ``maxpool2d_backward`` is bound to ``unpool2d_forward`` rather than calling it,
@@ -322,8 +325,9 @@ def unpool2d_backward(grad_out, indices):
     return np.asarray(grad_out).ravel()[np.asarray(indices)]
 
 
-def relu_forward(x):
-    return np.maximum(np.asarray(x), 0.0)
+def relu_forward(x, out=None):
+    """max(x, 0); ``out=x`` rectifies a fresh array in place."""
+    return np.maximum(np.asarray(x), 0.0, out=out)
 
 
 def relu_backward(grad_out, saved):
@@ -357,14 +361,16 @@ def global_avg_pool_backward(grad_out, in_shape):
 
 
 def fc_forward(x, weights, bias):
-    """x: (n, in) rows; weights: (out, in); returns (n, out)."""
+    """x: (n, in) rows; weights: (out, in); returns (n, out). Each row is its
+    own (1, in) @ (in, out) product: a single (n, in) GEMM rounds a row
+    differently for different n, so its result would depend on the batch."""
     x = np.asarray(x)
     weights = np.asarray(weights)
     if x.ndim != 2 or weights.ndim != 2 or x.shape[1] != weights.shape[1]:
         raise ShapeError(f"fc shapes incompatible: x {x.shape}, W {weights.shape}")
     if np.asarray(bias).shape != (weights.shape[0],):
         raise ShapeError(f"fc bias shape {np.asarray(bias).shape}")
-    return x @ weights.T + bias
+    return np.matmul(x[:, None, :], weights.T)[:, 0] + bias
 
 
 def fc_backward(grad_out, saved_input, weights):

@@ -71,7 +71,8 @@ def pepe_forward(x, p, config):
     K.check_finite(x, "pepe input")
     acts = [x]
     for name in config.convs:
-        acts.append(K.relu_forward(K.named_conv_forward(acts[-1], p, config.convs, name)))
+        y = K.named_conv_forward(acts[-1], p, config.convs, name)
+        acts.append(K.relu_forward(y, out=y))
     cache = {"config": config, "acts": acts}
     return acts[-1], cache
 

@@ -184,8 +184,10 @@ def train(net, dataset, config):
 
 def evaluate(net, dataset, batch_size=256):
     """Top-1 accuracy (argmax ties -> lowest class index) and mean loss, from
-    ``net.predict``. The per-image losses are summed exactly (``math.fsum``),
-    so the mean does not depend on the order of the images."""
+    ``net.predict``, which runs each batch in chunks of ``PREDICT_CHUNK``
+    images. An image's probabilities do not depend on which batch or chunk
+    holds it, and the per-image losses are summed exactly (``math.fsum``), so
+    the mean does not depend on the order of the images."""
     _check_dataset(net, dataset, "evaluate")
     correct = 0
     losses = []

@@ -109,7 +109,8 @@ def vac_forward(v, p, config):
 
     v_down = K.named_conv_forward(v, p, convs, "down")
     q, idx = K.maxpool2d_forward(v_down, (pk, pk), (ps, ps))
-    e_act = K.relu_forward(K.named_conv_forward(q, p, convs, "embed_grouped"))
+    e_act = K.named_conv_forward(q, p, convs, "embed_grouped")
+    K.relu_forward(e_act, out=e_act)
     k_sig = K.sigmoid_forward(K.named_conv_forward(e_act, p, convs, "embed_pointwise"))
     if config.expand_mode == "unpool":
         attn = K.unpool2d_forward(k_sig, idx, v_down.shape)

@@ -532,6 +532,14 @@ def leaf_blocks(net):
     return [c for b in net.blocks for c in getattr(b, "children", [b])]
 
 
+def assert_batch_invariant(net, n):
+    """``net.predict`` of an n-image batch equals, byte for byte, the rows
+    it gives each image alone."""
+    x = np.random.default_rng(n).random((n, *net.spec.input_shape))
+    rows = np.concatenate([net.predict(x[i:i + 1]) for i in range(n)])
+    assert net.predict(x).tobytes() == rows.tobytes()
+
+
 class TestPredict:
     @settings(max_examples=60, deadline=None)
     @given(text=dsl_texts())
@@ -581,17 +589,66 @@ class TestPredict:
             assert x_dtype == f32 and p_dtypes <= {f32}, kind
             assert out_dtype == (np.float64 if kind == "softmax" else f32), kind
 
-    def test_non_finite_input_names_block(self):
+    # row 40 of 70 lies in the second PREDICT_CHUNK, after a clean first one
+    @pytest.mark.parametrize("n, row", [(1, 0), (70, 40)])
+    def test_non_finite_input_names_block(self, n, row):
         net = nb.compile_spec(nb.parse_dsl(TINY), seed=0)
-        x = np.zeros((1, 1, 28, 28))
-        x[0, 0, 3, 3] = np.nan
+        x = np.zeros((n, 1, 28, 28))
+        x[row, 0, 3, 3] = np.nan
         with pytest.raises(NonFiniteError, match=r"block 1 \(vac\): vac input"):
             net.predict(x)
 
-    def test_bad_batch_shape(self):
+    @pytest.mark.parametrize("shape", [
+        (), (28,), (28, 28), (1, 28, 28), (1, 1, 1, 28, 28),  # rank 0-3 and 5
+        (1, 3, 28, 28), (70, 3, 28, 28), (1, 1, 27, 28), (70, 1, 28, 27),
+        (0, 1, 28, 28)])
+    def test_bad_batch_shape(self, shape, monkeypatch):
+        # rejected whole, before any chunk reaches the first block
+        def no_chunk(*args):
+            raise AssertionError("a chunk ran")
+        monkeypatch.setattr(nb, "conv_forward", no_chunk)
         net = nb.compile_spec(nb.parse_dsl(TINY), seed=0)
         with pytest.raises(ShapeError):
-            net.predict(np.zeros((1, 3, 28, 28)))
+            net.predict(np.zeros(shape))
+
+    # 31-33 straddle one PREDICT_CHUNK and 70 spans three. The float32 pass
+    # rectifies in place (np.maximum(y, 0.0, out=y)) and forms each fc row
+    # on its own (matmul over an (n, 1, k) stack); both must hold under
+    # numpy 1.x's value-based casting too.
+    @pytest.mark.parametrize("int8", [False, True])
+    @pytest.mark.parametrize("name", sorted(nb.REFERENCE_SPECS))
+    def test_reference_rows_equal_batch_rows(self, name, int8):
+        net = nb.compile_spec(nb.reference_spec(name))
+        if int8:
+            net = quant.quantize_weights(net)
+        for n in (1, 31, 32, 33, 70):
+            assert_batch_invariant(net, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(text=dsl_texts(), int8=st.booleans(), n=st.sampled_from([1, 31, 32, 33, 70]))
+    def test_generated_rows_equal_batch_rows(self, text, int8, n):
+        try:
+            spec = nb.parse_dsl(text)
+        except ParseError:
+            assume(False)
+        net = nb.compile_spec(spec, seed=0)
+        if int8:
+            net = quant.quantize_weights(net)
+        assert_batch_invariant(net, n)
+
+    def test_int8_batch_256_peaks_at_a_chunk(self):
+        # run whole, this batch peaked at 13.05 MiB of float32 transients
+        spec = nb.reference_spec("attendnet-micro-a")
+        net = quant.quantize_weights(nb.compile_spec(spec))
+        x = np.random.default_rng(0).random((256, *spec.input_shape))
+        net.predict(x)  # warm up the tap tables and conv specs
+        tracemalloc.start()
+        try:
+            net.predict(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, f"{peak / 2**20:.2f} MiB peak"
 
     def test_int8_batch_256_keeps_no_cache(self):
         # the float64 forward, which keeps every cache, peaks at 75 MiB here

@@ -18,6 +18,15 @@ fc 2
 softmax
 """
 
+CONV3 = """\
+input 1 4 4
+conv k3 p1 c4
+conv k3 s2 c3
+gap
+fc 2
+softmax
+"""
+
 
 def write_idx(tmp_path, images, labels, name="t"):
     n, h, w = images.shape
@@ -186,10 +195,13 @@ class TestEvaluate:
         top1, _ = evaluate(net, ds)
         assert 0.05 <= top1 <= 0.20  # binomial 3-sigma band around 0.1
 
-    def test_permutation_invariant(self):
-        net = nb.compile_spec(nb.parse_dsl(FC_ONLY), seed=3)
-        ds = toy_dataset(n=25, seed=2)
-        perm = np.random.default_rng(0).permutation(25)
+    # 75 images span three predict chunks (32, 32, 11), and the permutation
+    # moves images between them
+    @pytest.mark.parametrize("text, n", [(FC_ONLY, 25), (CONV3, 75)], ids=["fc_only", "conv3"])
+    def test_permutation_invariant(self, text, n):
+        net = nb.compile_spec(nb.parse_dsl(text), seed=3)
+        ds = toy_dataset(n=n, seed=2)
+        perm = np.random.default_rng(0).permutation(n)
         assert evaluate(net, ds) == evaluate(net, ds.subset(perm))
 
     def test_runs_cache_free_predict(self):
