@@ -11,8 +11,12 @@ Max-pool picks the lowest flat offset among equal maxima, and a NaN wins only
 as its window's first tap. Its backward is the unpool scatter:
 ``maxpool2d_backward`` is bound to ``unpool2d_forward`` rather than calling it,
 so a tracer times each apart.
-``conv2d_backward`` reuses a per-thread scratch array, sized to the largest
-patch matrix seen, for transients that never leave it.
+A conv unfolds its im2col patches one chunk of whole images at a time, at
+most ``PATCH_BYTES`` of them (at least one image), so they are still in L2
+when their products are formed. ``conv2d_backward``, and ``conv2d_forward``
+when a batch takes more than one chunk, unfold into a per-thread scratch
+array that never grows past one chunk's patches; nothing returned aliases it.
+Each image's GEMM is its own, so no output depends on the chunking.
 A ``ConvSpec`` checks its channels, kernel, stride, padding and groups when
 built, and ``conv2d_forward`` checks its input's rank and channels, so a block
 made of convs restates neither; ``check_finite`` is the divergence scan.
@@ -161,6 +165,11 @@ def _window_starts(h, w, oh, ow, sh, sw):
     return starts
 
 
+# Bytes of im2col patches a conv unfolds at once. A chunk's patches, their
+# column gradient and its slices of the output or input gradient then stay
+# inside a 2 MiB L2 cache while they are used.
+PATCH_BYTES = 1 << 20
+
 _scratch = threading.local()
 
 
@@ -185,8 +194,9 @@ def _im2col(x, spec, oh, ow, scratch=False):
     W.reshape(g, og, -1) @ cols is NCHW already. Each tap is one strided copy
     from the unpadded x. A 1x1/s1/p0 conv on a contiguous input needs no copy:
     the reshape is a view of x. ``scratch`` fills the thread's workspace
-    instead of a new array; the forward does not, as the workspace would hold
-    evaluate's batch-256 float32 patches (+5 MiB peak RSS) and save no time.
+    instead of a new array: the backward always does, the forward only when
+    its batch takes more than one chunk, as a one-chunk batch runs no faster
+    through the workspace.
     """
     n, c, h, w = x.shape
     if _is_identity_unfold(spec):
@@ -203,9 +213,22 @@ def _im2col(x, spec, oh, ow, scratch=False):
     return cols.reshape(n, spec.groups, -1, oh * ow)
 
 
+def _chunk_images(x, spec, oh, ow):
+    """Images per patch chunk: as many whole images as PATCH_BYTES of patches
+    hold, and at least one. A 1x1/s1/p0 conv's patches are a view of x, so its
+    whole batch is one chunk."""
+    n = len(x)
+    if n <= 1 or _is_identity_unfold(spec):
+        return max(n, 1)
+    per_image = x.shape[1] * spec.kernel[0] * spec.kernel[1] * oh * ow * x.itemsize
+    return max(1, PATCH_BYTES // per_image)
+
+
 def conv2d_forward(x, weights, bias, spec):
     """Every conv kind (dense, grouped, depthwise, pointwise) is one batched
-    matmul of the group weights (g, og, (c_in/g)*kh*kw) with the _im2col patches."""
+    matmul of the group weights (g, og, (c_in/g)*kh*kw) with the _im2col
+    patches, one image chunk at a time, each written into its slice of the
+    output."""
     x = np.asarray(x)
     weights = np.asarray(weights)
     bias = np.asarray(bias)
@@ -218,17 +241,28 @@ def conv2d_forward(x, weights, bias, spec):
     n, _, h, w = x.shape
     oh, ow = spec.out_hw(h, w)
     wg = weights.reshape(spec.groups, spec.c_out // spec.groups, -1)
-    out = np.matmul(wg, _im2col(x, spec, oh, ow)).reshape(n, spec.c_out, oh, ow)
+    step = _chunk_images(x, spec, oh, ow)
+    if step >= n:
+        out = np.matmul(wg, _im2col(x, spec, oh, ow))
+    else:
+        out = np.empty((n, *wg.shape[:2], oh * ow), dtype=np.result_type(x, weights))
+        for lo in range(0, n, step):
+            np.matmul(wg, _im2col(x[lo:lo + step], spec, oh, ow, scratch=True),
+                      out=out[lo:lo + step])
+    out = out.reshape(n, spec.c_out, oh, ow)
     out += bias[None, :, None, None]
     return out
 
 
 def conv2d_backward(grad_out, saved_input, weights, spec):
-    """grad_weights sums go @ cols^T over images; dcols = W^T @ go is laid out
-    (n, c_in, kh, kw, oh, ow) and each tap (i, j) adds its in-bounds part into
-    the unpadded input gradient over the same ranges _im2col read from. The
-    patches are spent once grad_weights is formed, so dcols overwrites them in
-    the workspace; a 1x1/s1/p0 conv's cols is a view of x and is never written."""
+    """grad_weights sums each image's go @ cols^T product, kept in an
+    (n, g, og, (c_in/g)*kh*kw) array, over all images at once, so the
+    chunking does not change its bits. A 1x1/s1/p0 conv's cols is a view of
+    x. Any other conv unfolds one image chunk at a time into the workspace;
+    once the chunk's products are formed, dcols = W^T @ go, laid out
+    (n, c_in, kh, kw, oh, ow), overwrites the spent patches there, and each
+    tap (i, j) adds its in-bounds part into the chunk's unpadded input
+    gradient over the same ranges _im2col read from."""
     grad_out = np.asarray(grad_out)
     x = np.asarray(saved_input)
     n, _, h, w = x.shape
@@ -236,21 +270,29 @@ def conv2d_backward(grad_out, saved_input, weights, spec):
     if grad_out.shape != (n, spec.c_out, oh, ow):
         raise ShapeError(f"grad_out shape {grad_out.shape}, "
                          f"expected {(n, spec.c_out, oh, ow)}")
-    g = spec.groups
+    g, og = spec.groups, spec.c_out // spec.groups
     grad_bias = grad_out.sum(axis=(0, 2, 3))
 
-    go = grad_out.reshape(n, g, spec.c_out // g, oh * ow)
-    cols = _im2col(x, spec, oh, ow, scratch=True)
-    grad_weights = np.matmul(go, cols.transpose(0, 1, 3, 2)).sum(axis=0)
-    grad_weights = grad_weights.reshape(spec.weight_shape())
-
-    wgt = weights.reshape(g, spec.c_out // g, -1).transpose(0, 2, 1)
+    go = grad_out.reshape(n, g, og, oh * ow)
+    wgt = weights.reshape(g, og, -1).transpose(0, 2, 1)
     if _is_identity_unfold(spec):
-        return np.matmul(wgt, go).reshape(x.shape), grad_weights, grad_bias
-    dcols = np.matmul(wgt, go, out=cols).reshape(n, spec.c_in, *spec.kernel, oh, ow)
-    grad_input = np.zeros(x.shape, dtype=x.dtype)
-    for i, j, ro, co, ri, ci in _taps(h, w, oh, ow, spec.kernel, spec.stride, spec.padding):
-        grad_input[:, :, ri, ci] += dcols[:, :, i, j, ro, co]
+        prods = np.matmul(go, _im2col(x, spec, oh, ow).transpose(0, 1, 3, 2))
+        grad_input = np.matmul(wgt, go).reshape(x.shape)
+    else:
+        prods = np.empty((n, g, og, wgt.shape[1]), dtype=np.result_type(grad_out, x))
+        grad_input = np.zeros(x.shape, dtype=x.dtype)
+        taps = _taps(h, w, oh, ow, spec.kernel, spec.stride, spec.padding)
+        step = _chunk_images(x, spec, oh, ow)
+        for lo in range(0, n, step):
+            chunk = slice(lo, lo + step)
+            cols = _im2col(x[chunk], spec, oh, ow, scratch=True)
+            np.matmul(go[chunk], cols.transpose(0, 1, 3, 2), out=prods[chunk])
+            dcols = np.matmul(wgt, go[chunk], out=cols).reshape(
+                len(cols), spec.c_in, *spec.kernel, oh, ow)
+            gi = grad_input[chunk]
+            for i, j, ro, co, ri, ci in taps:
+                gi[:, :, ri, ci] += dcols[:, :, i, j, ro, co]
+    grad_weights = prods.sum(axis=0).reshape(spec.weight_shape())
     return grad_input, grad_weights, grad_bias
 
 

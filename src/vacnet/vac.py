@@ -6,6 +6,15 @@ expansion back to the down-mixed grid -> elementwise gating by the expanded
 attention values and a learned scale -> pointwise up-mixing back to the input
 channel count. Output shape always equals input shape, so the block is a
 drop-in layer.
+
+Unpool expansion leaves the attention zero except at the max-pool's picks,
+where the down-mixed value is the pooled one, so the block gates on the
+condensed grid, ``gated = unpool(q * k_sig * scale)``, and backward scatters
+the gating's and the embedding's pooled-grid gradients in one pass.
+Overlapping windows (stride < kernel) pick some pixels more than once; the
+scatter adds there, as the expanded map would. Nearest expansion gates on
+the full grid and also caches the down-mixed map. No cache holds an
+expanded attention map.
 """
 
 from __future__ import annotations
@@ -85,7 +94,9 @@ class VacConfig(K.ParamTable):
     def mult_adds(self, h, w):
         """The four convolutions (the embedding runs on the pooled grid) plus
         the gating: one multiply for the attention product and one for the
-        scale, per element of the down-mixed activation."""
+        scale, per element of the down-mixed activation, as the expanded
+        formulation counts them; unpool expansion computes them at the picks
+        alone."""
         pk, ps = self.pool
         qh, qw = (h - pk) // ps + 1, (w - pk) // ps + 1
         c = self.convs
@@ -106,31 +117,27 @@ def vac_forward(v, p, config):
     K.check_finite(v, "vac input")
     pk, ps = config.pool
     convs = config.convs
+    s = p["scale"].reshape(-1, 1, 1)
 
     v_down = K.named_conv_forward(v, p, convs, "down")
     q, idx = K.maxpool2d_forward(v_down, (pk, pk), (ps, ps))
     e_act = K.named_conv_forward(q, p, convs, "embed_grouped")
     K.relu_forward(e_act, out=e_act)
     k_sig = K.sigmoid_forward(K.named_conv_forward(e_act, p, convs, "embed_pointwise"))
+    cache = {"config": config, "input": v, "pool_idx": idx, "q": q,
+             "e_act": e_act, "k_sig": k_sig}
     if config.expand_mode == "unpool":
-        attn = K.unpool2d_forward(k_sig, idx, v_down.shape)
-        nearest_maps = None
+        gated = q * k_sig
+        gated *= s  # in place: a broadcast product allocates
+        gated = K.unpool2d_forward(gated, idx, v_down.shape)
     else:
         (h, w), (qh, qw) = v_down.shape[2:], k_sig.shape[2:]
-        rows, cols = _expand_nearest_maps(h, w, qh, qw, ps)
-        attn = k_sig[:, :, rows[:, None], cols[None, :]]
-        nearest_maps = (rows, cols)
-
-    gated = v_down * attn
-    gated *= p["scale"].reshape(-1, 1, 1)  # in place: a broadcast product allocates
-    out = K.named_conv_forward(gated, p, convs, "up")
-
-    cache = {
-        "config": config, "input": v, "v_down": v_down, "pool_idx": idx,
-        "e_act": e_act, "k_sig": k_sig, "attn": attn,
-        "gated": gated, "nearest_maps": nearest_maps, "q": q,
-    }
-    return out, cache
+        rows, cols = cache["nearest_maps"] = _expand_nearest_maps(h, w, qh, qw, ps)
+        gated = v_down * k_sig[:, :, rows[:, None], cols[None, :]]
+        gated *= s
+        cache["v_down"] = v_down
+    cache["gated"] = gated
+    return K.named_conv_forward(gated, p, convs, "up"), cache
 
 
 def vac_backward(grad_out, cache, p, config):
@@ -139,8 +146,9 @@ def vac_backward(grad_out, cache, p, config):
     if cache.get("config") is not config and cache.get("config") != config:
         raise IntegrityError("cache was produced by a different configuration")
     v = cache["input"]
-    v_down = cache["v_down"]
-    attn = cache["attn"]
+    gated = cache["gated"]
+    k_sig = cache["k_sig"]
+    idx = cache["pool_idx"]
     grad_out = np.asarray(grad_out)
     if grad_out.shape != v.shape:
         raise IntegrityError(f"grad shape {grad_out.shape} does not match cached "
@@ -148,28 +156,39 @@ def vac_backward(grad_out, cache, p, config):
 
     grads = {}
     convs = config.convs
-    g_gated = K.named_conv_backward(grad_out, cache["gated"], p, convs, "up", grads)
+    g_gated = K.named_conv_backward(grad_out, gated, p, convs, "up", grads)
 
     s = p["scale"].reshape(-1, 1, 1)
-    g_vdown_f = g_gated * attn
-    g_vdown_f *= s
-    g_attn = g_gated * v_down
     # a scalar scale keeps a plain sum; a per-channel one of size 1 keeps shape (1,)
     axes = (0, 2, 3) if p["scale"].ndim else None
-    grads["scale"] = np.asarray((g_attn * attn).sum(axis=axes))
-    g_attn *= s
-
     if config.expand_mode == "unpool":
-        g_ksig = K.unpool2d_backward(g_attn, cache["pool_idx"])
+        g_pick = K.unpool2d_backward(g_gated, idx)
+        g_q_gate = g_pick * k_sig
+        g_q_gate *= s
+        g_ksig = g_pick * cache["q"]
+        grads["scale"] = np.asarray((g_ksig * k_sig).sum(axis=axes))
+        g_ksig *= s
     else:
         rows, cols = cache["nearest_maps"]
-        g_ksig = np.zeros_like(cache["k_sig"])
-        np.add.at(g_ksig, (slice(None), slice(None), rows[:, None], cols[None, :]), g_attn)
+        at = (slice(None), slice(None), rows[:, None], cols[None, :])
+        attn = k_sig[at]
+        g_vdown_gate = g_gated * attn
+        g_vdown_gate *= s
+        g_attn = g_gated * cache["v_down"]
+        grads["scale"] = np.asarray((g_attn * attn).sum(axis=axes))
+        g_attn *= s
+        g_ksig = np.zeros_like(k_sig)
+        np.add.at(g_ksig, at, g_attn)
 
-    g_kpre = K.sigmoid_backward(g_ksig, cache["k_sig"])
+    g_kpre = K.sigmoid_backward(g_ksig, k_sig)
     g_eact = K.named_conv_backward(g_kpre, cache["e_act"], p, convs, "embed_pointwise", grads)
     g_epre = K.relu_backward(g_eact, cache["e_act"])
     g_q = K.named_conv_backward(g_epre, cache["q"], p, convs, "embed_grouped", grads)
-    g_vdown = g_vdown_f + K.maxpool2d_backward(g_q, cache["pool_idx"], v_down.shape)
+    if config.expand_mode == "unpool":
+        # the gating's and the embedding's pooled-grid gradients, in one scatter
+        g_q += g_q_gate
+        g_vdown = K.maxpool2d_backward(g_q, idx, gated.shape)
+    else:
+        g_vdown = g_vdown_gate + K.maxpool2d_backward(g_q, idx, gated.shape)
     g_v = K.named_conv_backward(g_vdown, v, p, convs, "down", grads)
     return g_v, {name: grads[name] for name in p}

@@ -426,12 +426,13 @@ def test_criterion_4_vac_invariants(capsys):
         qh = (h - pk) // ps + 1
         qw = (w - pk) // ps + 1
         bound = x.shape[0] * cfg.c_down * qh * qw
-        nonzeros = int(np.count_nonzero(cache["attn"]))
+        attn = K.unpool2d_forward(cache["k_sig"], cache["pool_idx"], cache["gated"].shape)
+        nonzeros = int(np.count_nonzero(attn))
         if nonzeros > bound:
             failures.append(f"config {i}: attention nonzeros {nonzeros} > {bound}")
         params["scale"][...] = 0.0
         out0, cache0 = vac_forward(x, params, cfg)
-        bias_only = K.conv2d_forward(np.zeros_like(cache0["v_down"]),
+        bias_only = K.conv2d_forward(np.zeros_like(cache0["gated"]),
                                      params["up_w"], params["up_b"], cfg.up_spec())
         if np.any(cache0["gated"]) or np.abs(out0 - bias_only).max() > 0:
             failures.append(f"config {i}: zero scale does not annihilate gating")

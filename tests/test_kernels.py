@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import tracemalloc
@@ -145,19 +146,38 @@ class TestConvWorkspace:
         gout = r.standard_normal((shape[0], spec.c_out, *spec.out_hw(*shape[2:])))
         return gout, x, w, spec
 
-    def test_peak_below_one_patch_matrix_plus_outputs(self):
-        spec = ConvSpec(16, 16, kernel=(3, 3), padding=(1, 1))
-        args = self.case(spec, (8, 16, 16, 16), 0)
-        outs = K.conv2d_backward(*args)  # warm up: grows the workspace
-        patches = 8 * 16 * 9 * 16 * 16 * 8  # float64 bytes, 2.36 MB
-        tracemalloc.start()
-        try:
-            K.conv2d_backward(*args)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        bound = patches + sum(o.nbytes for o in outs)
-        assert peak < bound, f"peak {peak} B, bound {bound} B"
+    @pytest.mark.parametrize("spec, hw", [   # attendnet-micro-b's dense convs
+        (ConvSpec(3, 16, (3, 3), padding=(1, 1)), (32, 32)),
+        (ConvSpec(16, 32, (3, 3), (2, 2), (1, 1)), (32, 32)),
+        (ConvSpec(32, 48, (3, 3), (2, 2), (1, 1)), (16, 16)),
+    ])
+    def test_peak_below_one_chunk_plus_outputs(self, spec, hw):
+        # A fresh thread starts with no workspace, so the peak counts the
+        # patches: one chunk's, at most PATCH_BYTES, where unfolding all 32
+        # images at once takes 7.1, 9.4 and 4.7 MB. The per-image weight-
+        # gradient products are summed once all images are done.
+        args = self.case(spec, (32, spec.c_in, *hw), 0)
+        oh, ow = spec.out_hw(*hw)
+        image = spec.c_in * 9 * oh * ow * 8  # one image's float64 patches
+        products = 32 * math.prod(spec.weight_shape()) * 8
+        got = {}
+
+        def run():
+            tracemalloc.start()
+            try:
+                outs = K.conv2d_backward(*args)
+                got["peak"] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            got["outputs"] = sum(o.nbytes for o in outs)
+            got["workspace"] = K._scratch.buf.nbytes
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join()
+        assert got["workspace"] <= K.PATCH_BYTES
+        bound = K.PATCH_BYTES + image + products + got["outputs"]
+        assert got["peak"] < bound, f"peak {got['peak']} B, bound {bound} B"
 
     @pytest.mark.parametrize("spec", [
         ConvSpec(4, 6, kernel=(3, 3), padding=(1, 1)),
@@ -223,6 +243,64 @@ def check_conv_oracles(x, spec, seed):
     for name, g, wg in zip(("input", "weights", "bias"), got, want):
         assert g.shape == wg.shape, name
         np.testing.assert_allclose(g, wg, rtol=0, atol=1e-12, err_msg=name)
+
+
+class TestConvChunks:
+    """A small PATCH_BYTES splits a batch into 1- and 2-image chunks; the
+    results match the naive loops and, byte for byte, an unchunked run."""
+
+    @pytest.mark.parametrize("budget, per_chunk", [
+        (0.5, 1),   # a budget below one image's patches still takes one image
+        (2.5, 2),
+    ])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 5])
+    @pytest.mark.parametrize("spec, hw", [
+        (ConvSpec(3, 4, (3, 3), (2, 2), (1, 1)), (7, 8)),             # dense 3x3 s2 p1
+        (ConvSpec(4, 6, (3, 2), (1, 2), (0, 1), groups=2), (5, 5)),   # grouped
+        (ConvSpec(3, 6, (3, 3), padding=(1, 1), groups=3), (5, 6)),   # depthwise x2
+        (ConvSpec(4, 3, padding=(1, 1)), (4, 3)),                     # 1x1 p1
+        (ConvSpec(4, 6, groups=2), (4, 3)),                           # pointwise: a view
+    ])
+    def test_matches_naive_and_unchunked(self, monkeypatch, spec, hw, batch, budget,
+                                         per_chunk):
+        r = rng(batch)
+        x = r.standard_normal((batch, spec.c_in, *hw))
+        w = r.standard_normal(spec.weight_shape())
+        b = r.standard_normal(spec.c_out)
+        oh, ow = spec.out_hw(*hw)
+        gout = r.standard_normal((batch, spec.c_out, oh, ow))
+
+        def run():
+            return (K.conv2d_forward(x, w, b, spec), *K.conv2d_backward(gout, x, w, spec))
+
+        monkeypatch.setattr(K, "PATCH_BYTES", 2**40)
+        whole = run()
+        image = spec.c_in * spec.kernel[0] * spec.kernel[1] * oh * ow * 8
+        monkeypatch.setattr(K, "PATCH_BYTES", int(budget * image))
+        seen = []
+        im2col = K._im2col
+
+        def spy(xc, *args, **kwargs):
+            seen.append(len(xc))
+            return im2col(xc, *args, **kwargs)
+
+        monkeypatch.setattr(K, "_im2col", spy)
+        chunked = run()
+        if spec.kernel == (1, 1) and spec.padding == (0, 0):
+            sizes = [batch]
+        else:
+            sizes = [min(per_chunk, batch - lo) for lo in range(0, batch, per_chunk)]
+        assert seen == sizes * 2   # forward, then backward
+
+        for name, got, want in zip(("output", "input", "weights", "bias"), chunked, whole):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        np.testing.assert_allclose(
+            chunked[0], naive_conv2d(x, w, b, spec.stride, spec.padding, spec.groups),
+            rtol=0, atol=1e-12)
+        want = naive_conv2d_backward(gout, x, w, spec.stride, spec.padding, spec.groups)
+        for name, got, wg in zip(("input", "weights", "bias"), chunked[1:], want):
+            np.testing.assert_allclose(got, wg, rtol=0, atol=1e-12, err_msg=name)
 
 
 class TestConvOracles:

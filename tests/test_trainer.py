@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,24 @@ class TestTrain:
         train(net, ds, TrainConfig(lr=0.2, epochs=40, batch_size=8, seed=1))
         top1, _ = evaluate(net, ds)
         assert top1 == 1.0
+
+    def test_micro_b_epoch_peak(self):
+        # A warmed-up b32 attendnet-micro-b epoch: forward caches, gradients
+        # and one conv chunk's patches at a time. Unfolding each conv's whole
+        # batch at once peaked at 50.8 MiB.
+        spec = nb.reference_spec("attendnet-micro-b")
+        r = np.random.default_rng(0)
+        ds = Dataset(r.random((64, *spec.input_shape)), r.integers(0, 10, 64))
+        net = nb.compile_spec(spec, seed=1)
+        config = TrainConfig(lr=0.01, batch_size=32)
+        train(net, ds, config)
+        tracemalloc.start()
+        try:
+            train(net, ds, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 45 * 2**20, f"{peak / 2**20:.2f} MiB peak"
 
     def test_loss_finite_guard(self):
         net = nb.compile_spec(nb.parse_dsl(FC_ONLY), seed=0)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assert_close_grad, numeric_grad
+from oracles import assert_close_grad, naive_nearest, naive_unpool, numeric_grad
 from vacnet import kernels as K
 from vacnet.kernels import ConfigError, IntegrityError, ShapeError
 from vacnet.vac import VacConfig, vac_backward, vac_forward
@@ -14,6 +14,20 @@ def make(c_in=16, c_down=4, e1=4, e2=4, pool=(2, 2), ek=3, groups=4, seed=0, **k
                     pool=pool, embed_kernel=ek, embed_groups=groups, **kw)
     params = cfg.init_params(np.random.default_rng(seed))
     return cfg, params
+
+
+def expanded_attention(cache, cfg):
+    """The full-grid attention map, rebuilt from the cached condensed one as
+    the block's own expansion forms it."""
+    k_sig = cache["k_sig"]
+    if cfg.expand_mode == "unpool":
+        return K.unpool2d_forward(k_sig, cache["pool_idx"], cache["gated"].shape)
+    rows, cols = cache["nearest_maps"]
+    return k_sig[:, :, rows[:, None], cols[None, :]]
+
+
+def down_mixed(x, params, cfg):
+    return K.conv2d_forward(x, params["down_w"], params["down_b"], cfg.down_spec())
 
 
 class TestConfig:
@@ -49,12 +63,14 @@ class TestForward:
         cfg, params = make()
         x = np.random.default_rng(1).standard_normal((1, 16, 8, 8))
         out, cache = vac_forward(x, params, cfg)
-        assert cache["v_down"].shape == (1, 4, 8, 8)
+        assert down_mixed(x, params, cfg).shape == (1, 4, 8, 8)
         assert cache["q"].shape == (1, 4, 4, 4)
         assert cache["k_sig"].shape == (1, 4, 4, 4)
-        assert cache["attn"].shape == (1, 4, 8, 8)
+        assert expanded_attention(cache, cfg).shape == (1, 4, 8, 8)
         assert cache["gated"].shape == (1, 4, 8, 8)
         assert out.shape == (1, 16, 8, 8)
+        # backward rebuilds what it needs of both from the condensed grid
+        assert not {"attn", "v_down"} & set(cache)
 
     def test_zero_scale_annihilates(self):
         cfg, params = make()
@@ -66,20 +82,32 @@ class TestForward:
         np.testing.assert_array_equal(
             out, np.broadcast_to(params["up_b"][None, :, None, None], out.shape))
 
+    @pytest.mark.parametrize("pool, expand_mode", [
+        ((2, 2), "unpool"),
+        # overlapping windows pick some pixels more than once: unpooling sums
+        # their attention values there, and the gating scales that sum
+        ((3, 1), "unpool"), ((2, 1), "unpool"),
+        ((3, 1), "nearest"), ((2, 1), "nearest"),
+    ])
     @pytest.mark.parametrize("seed", range(4))
-    def test_compositional_oracle(self, seed):
-        cfg, params = make(seed=seed)
+    def test_compositional_oracle(self, seed, pool, expand_mode):
+        cfg, params = make(seed=seed, pool=pool, expand_mode=expand_mode)
         x = np.random.default_rng(seed + 50).standard_normal((2, 16, 8, 8))
         out, _ = vac_forward(x, params, cfg)
 
         vd = K.conv2d_forward(x, params["down_w"], params["down_b"], cfg.down_spec())
-        q, idx = K.maxpool2d_forward(vd, (2, 2), (2, 2))
+        pk, ps = pool
+        q, idx = K.maxpool2d_forward(vd, (pk, pk), (ps, ps))
+        assert (np.unique(idx).size < idx.size) == (ps < pk)
         e = K.relu_forward(K.conv2d_forward(q, params["embed_grouped_w"],
                                             params["embed_grouped_b"],
                                             cfg.embed_grouped_spec()))
         k = K.conv2d_forward(e, params["embed_pointwise_w"], params["embed_pointwise_b"],
                              cfg.embed_pointwise_spec())
-        attn = K.unpool2d_forward(K.sigmoid_forward(k), idx, vd.shape)
+        if expand_mode == "unpool":
+            attn = naive_unpool(K.sigmoid_forward(k), idx, vd.shape)
+        else:
+            attn = naive_nearest(K.sigmoid_forward(k), vd.shape, ps)
         gated = vd * attn * params["scale"]
         want = K.conv2d_forward(gated, params["up_w"], params["up_b"], cfg.up_spec())
         np.testing.assert_allclose(out, want, atol=1e-12)
@@ -108,7 +136,7 @@ class TestForward:
         for _ in range(10):
             x = r.standard_normal((2, 8, 7, 7))
             _, cache = vac_forward(x, params, cfg)
-            attn = cache["attn"]
+            attn = expanded_attention(cache, cfg)
             windows = cache["q"].shape[2] * cache["q"].shape[3]
             for b in range(attn.shape[0]):
                 nz = np.count_nonzero(attn[b])
@@ -142,7 +170,7 @@ class TestForward:
         out, cache = vac_forward(x, params, cfg)
         assert out.shape == x.shape
         # nearest expansion repeats every pooled value across its window
-        attn = cache["attn"]
+        attn = expanded_attention(cache, cfg)
         assert (attn > 0).all()
 
     def test_channel_mismatch_rejected(self):
@@ -176,6 +204,11 @@ class TestBackward:
         {},
         {"per_channel_scale": True},
         {"expand_mode": "nearest"},
+        # overlapping windows, whose picks repeat
+        {"pool": (3, 1)},
+        {"pool": (2, 1)},
+        {"pool": (3, 1), "expand_mode": "nearest"},
+        {"pool": (2, 1), "expand_mode": "nearest", "per_channel_scale": True},
     ])
     def test_finite_differences(self, kwargs):
         cfg, params = make(c_in=6, c_down=3, e1=3, e2=3, groups=3, seed=7, **kwargs)
@@ -220,7 +253,7 @@ class TestBackward:
         # analytic form: sum of (upstream through up-mix) * V' * A
         g_gated, _, _ = K.conv2d_backward(gout, cache["gated"], params["up_w"],
                                           cfg.up_spec())
-        want = (g_gated * cache["v_down"] * cache["attn"]).sum()
+        want = (g_gated * down_mixed(x, params, cfg) * expanded_attention(cache, cfg)).sum()
         assert gp["scale"] == pytest.approx(want, rel=1e-12)
 
 
