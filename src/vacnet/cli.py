@@ -1,8 +1,8 @@
 """Command-line front-end: train, eval, quantize, count, compare, search.
 
-Exit codes: 0 success, 2 configuration/parse error, 3 runtime error
-(divergence, corrupt files), 4 search found no feasible candidate. All
-randomness flows from --seed; reruns with identical flags are bitwise
+Exit codes: 0 success, 2 configuration/parse error, 3 any other failure
+(divergence, corrupt files, memory), 4 search found no feasible candidate.
+All randomness flows from --seed; reruns with identical flags are bitwise
 reproducible.
 """
 
@@ -16,9 +16,8 @@ import time
 from pathlib import Path
 
 from . import complexity, explore, netbuilder, quant, trainer
-from .kernels import ConfigError, IntegrityError, NonFiniteError, ShapeError
-from .netbuilder import FormatError, ParseError
-from .trainer import DataFormatError, DivergenceError
+from .kernels import ConfigError, ShapeError
+from .netbuilder import ParseError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -27,14 +26,12 @@ EXIT_INFEASIBLE = 4
 
 CONFIG_ERRORS = (ParseError, ConfigError, ShapeError, FileNotFoundError,
                  IsADirectoryError, KeyError, json.JSONDecodeError, UnicodeDecodeError)
-RUNTIME_ERRORS = (DivergenceError, FormatError, DataFormatError, IntegrityError,
-                  NonFiniteError, OSError)
 
 
 def _load_spec(spec_arg):
     """Accept a reference-spec name or a path to a DSL file."""
     if spec_arg in netbuilder.REFERENCE_SPECS:
-        return netbuilder.parse_dsl(netbuilder.REFERENCE_SPECS[spec_arg])
+        return netbuilder.reference_spec(spec_arg)
     return netbuilder.parse_dsl(Path(spec_arg).read_text())
 
 
@@ -60,9 +57,9 @@ def cmd_train(args):
     cfg = trainer.TrainConfig(lr=args.lr, momentum=args.momentum,
                               batch_size=args.batch, epochs=args.epochs,
                               seed=args.seed)
+    net = netbuilder.compile_spec(spec, seed=args.seed)
     out_dir = Path(args.out)
     _write_manifest(out_dir, "train", args)
-    net = netbuilder.compile_spec(spec, seed=args.seed)
     report = trainer.train(net, dataset, cfg)
     netbuilder.save(net, out_dir / "model.acnk")
     (out_dir / "metrics.csv").write_text(report.to_csv())
@@ -153,7 +150,7 @@ def cmd_search(args):
     print("-" * len(header))
     for rank, c in enumerate(result.feasible, 1):
         print(f"{rank:<6}{c.spec_hash:<14}{c.top1:>8.4f}{c.params:>10}{c.u:>9.2f}")
-    if result.empty:
+    if not result.feasible:
         print("no feasible candidate")
         return EXIT_INFEASIBLE
     return EXIT_OK
@@ -243,7 +240,7 @@ def main(argv=None):
     except CONFIG_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except RUNTIME_ERRORS as e:
+    except Exception as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 

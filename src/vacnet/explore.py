@@ -173,10 +173,6 @@ class SearchResult:
     feasible: list   # Candidates, best first
     audit: list      # every evaluated Candidate, in evaluation order
 
-    @property
-    def empty(self):
-        return not self.feasible
-
     def audit_jsonl(self):
         return "\n".join(json.dumps(c.audit_record(), allow_nan=False)
                          for c in self.audit) + "\n"
@@ -188,6 +184,8 @@ def search(space, budget, indicator_cfg, pf, eval_fn, seed=0):
     drawn again reuses its first result but still gets its own audit record."""
     if budget < 1:
         raise ConfigError(f"budget must be >= 1, got {budget}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     audit = []
     results = {}

@@ -323,8 +323,8 @@ def maxpool2d_forward(x, kernel, stride):
     n, c, h, w = x.shape
     kh, kw = kernel
     sh, sw = stride
-    if sh < 1 or sw < 1:
-        raise ConfigError(f"stride must be >= 1, got {stride}")
+    if min(kh, kw, sh, sw) < 1:
+        raise ConfigError(f"pool kernel {kernel} and stride {stride} must be >= 1")
     if kh > h or kw > w:
         raise ShapeError(f"pool kernel {kernel} larger than input {h}x{w}")
     oh = (h - kh) // sh + 1

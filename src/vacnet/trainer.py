@@ -43,9 +43,6 @@ class Dataset:
     def __len__(self):
         return len(self.images)
 
-    def subset(self, index):
-        return Dataset(self.images[index], self.labels[index])
-
 
 @dataclass
 class TrainConfig:
@@ -64,6 +61,8 @@ class TrainConfig:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

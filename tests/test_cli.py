@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from vacnet import cli, complexity, explore
+from vacnet import cli, complexity, explore, trainer
 from vacnet import netbuilder as nb
 
 SPEC_TEXT = """\
@@ -179,6 +179,77 @@ class TestExitCodes:
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+    def test_negative_train_seed_exit_2_writes_nothing(self, tmp_path, spec_file, capsys):
+        img, lab = write_idx_pair(tmp_path)
+        out = tmp_path / "o"
+        code = cli.main(["train", "--spec", spec_file, "--data", img, "--labels", lab,
+                         "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_negative_search_seed_exit_2_writes_nothing(self, tmp_path, capsys):
+        text = "input 1 4 4\nconv k1 c2\ngap\nfc 2\nsoftmax\n"
+        p = tmp_path / "space.json"
+        p.write_text(json.dumps({"candidates": [text],
+                                 "metrics": {explore.spec_hash(text): {"top1": 0.9, "bits": 8}}}))
+        out = tmp_path / "srch"
+        code = cli.main(["search", "--space", str(p), "--budget", "1", "--tau", "0.5",
+                         "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_unallocatable_weights_exit_3_writes_nothing(self, tmp_path, capsys):
+        # numpy rejects a 2**62-channel weight array by its size, before it
+        # allocates anything
+        img, lab = write_idx_pair(tmp_path)
+        spec = tmp_path / "huge.dsl"
+        spec.write_text("input 1 8 8\nconv k3 s1 p1 c4611686018427387904\n"
+                        "gap\nfc 3\nsoftmax\n")
+        out = tmp_path / "o"
+        code = cli.main(["train", "--spec", str(spec), "--data", img, "--labels", lab,
+                         "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "search"])
+    def test_memory_error_exit_3_writes_nothing(self, tmp_path, spec_file, capsys,
+                                                monkeypatch, command):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("unable to allocate the network's weights")
+        monkeypatch.setattr(nb, "compile_spec", no_memory)
+        img, lab = write_idx_pair(tmp_path)
+        out = tmp_path / "o"
+        if command == "train":
+            argv = ["train", "--spec", spec_file]
+        else:
+            p = tmp_path / "space.json"
+            p.write_text(json.dumps({"stem": ["input 1 8 8"],
+                                     "slots": [["conv k3 s1 p1 c4"]],
+                                     "tail": ["gap", "fc 3", "softmax"]}))
+            argv = ["search", "--space", str(p), "--budget", "1", "--tau", "0.01"]
+        code = cli.main(argv + ["--data", img, "--labels", lab, "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == "error: unable to allocate the network's weights\n"
+        assert not out.exists()
+
+    def test_unexpected_exception_exit_3_one_line(self, tmp_path, spec_file, capsys,
+                                                  monkeypatch):
+        _, out = run_train(tmp_path, spec_file, "run", epochs=1)
+        capsys.readouterr()
+
+        def broken(net, dataset):
+            raise RuntimeError("an unexpected failure")
+        monkeypatch.setattr(trainer, "evaluate", broken)
+        img, lab = write_idx_pair(tmp_path)
+        code = cli.main(["eval", "--model", str(out / "model.acnk"),
+                         "--data", img, "--labels", lab])
+        assert code == 3
+        assert capsys.readouterr().err == "error: an unexpected failure\n"
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_diverging_train_exit_3_names_block(self, tmp_path, capsys):

@@ -174,7 +174,7 @@ class TestSearch:
         texts, metrics = tiny_candidates(2)
         space = SearchSpace(candidates=texts, metrics=metrics)
         result = search(space, 2, ICFG, PF, cached_eval_fn(metrics), seed=0)
-        assert result.empty
+        assert not result.feasible
         assert len(result.audit) == 2
 
     def test_ranking_invariant_under_uniform_params_rescaling(self):
@@ -250,3 +250,9 @@ class TestSearch:
         with pytest.raises(ConfigError):
             search(SearchSpace(candidates=texts, metrics=metrics), 0, ICFG, PF,
                    cached_eval_fn(metrics))
+
+    def test_negative_seed_rejected(self):
+        texts, metrics = tiny_candidates()
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            search(SearchSpace(candidates=texts, metrics=metrics), 1, ICFG, PF,
+                   cached_eval_fn(metrics), seed=-1)

@@ -408,6 +408,11 @@ class TestMaxPool:
         with pytest.raises(ShapeError):
             K.maxpool2d_forward(np.zeros((1, 1, 2, 2)), (3, 3), (1, 1))
 
+    @pytest.mark.parametrize("kernel", [(0, 2), (2, 0), (0, 0)])
+    def test_kernel_side_below_one(self, kernel):
+        with pytest.raises(ConfigError, match="must be >= 1"):
+            K.maxpool2d_forward(np.zeros((1, 1, 4, 4)), kernel, (1, 1))
+
     def test_backward_fd(self):
         x = rng(4).standard_normal((1, 2, 4, 4))
         gout = rng(5).standard_normal((1, 2, 2, 2))

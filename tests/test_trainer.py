@@ -120,6 +120,10 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="must be finite"):
             TrainConfig(**kwargs)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            TrainConfig(seed=-1)
+
 
 class TestTrain:
     def test_zero_lr_leaves_params_unchanged(self):
@@ -221,7 +225,8 @@ class TestEvaluate:
         net = nb.compile_spec(nb.parse_dsl(text), seed=3)
         ds = toy_dataset(n=n, seed=2)
         perm = np.random.default_rng(0).permutation(n)
-        assert evaluate(net, ds) == evaluate(net, ds.subset(perm))
+        shuffled = Dataset(ds.images[perm], ds.labels[perm])
+        assert evaluate(net, ds) == evaluate(net, shuffled)
 
     def test_runs_cache_free_predict(self):
         net = nb.compile_spec(nb.parse_dsl(FC_ONLY), seed=3)
