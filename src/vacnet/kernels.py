@@ -254,7 +254,7 @@ def conv2d_forward(x, weights, bias, spec):
     return out
 
 
-def conv2d_backward(grad_out, saved_input, weights, spec):
+def conv2d_backward(grad_out, saved_input, weights, spec, input_grad=True):
     """grad_weights sums each image's go @ cols^T product, kept in an
     (n, g, og, (c_in/g)*kh*kw) array, over all images at once, so the
     chunking does not change its bits. A 1x1/s1/p0 conv's cols is a view of
@@ -262,7 +262,9 @@ def conv2d_backward(grad_out, saved_input, weights, spec):
     once the chunk's products are formed, dcols = W^T @ go, laid out
     (n, c_in, kh, kw, oh, ow), overwrites the spent patches there, and each
     tap (i, j) adds its in-bounds part into the chunk's unpadded input
-    gradient over the same ranges _im2col read from."""
+    gradient over the same ranges _im2col read from. ``input_grad=False``
+    forms neither dcols nor the input gradient, and returns None in its
+    place; the weight and bias gradients keep their bits."""
     grad_out = np.asarray(grad_out)
     x = np.asarray(saved_input)
     n, _, h, w = x.shape
@@ -275,18 +277,23 @@ def conv2d_backward(grad_out, saved_input, weights, spec):
 
     go = grad_out.reshape(n, g, og, oh * ow)
     wgt = weights.reshape(g, og, -1).transpose(0, 2, 1)
+    grad_input = None
     if _is_identity_unfold(spec):
         prods = np.matmul(go, _im2col(x, spec, oh, ow).transpose(0, 1, 3, 2))
-        grad_input = np.matmul(wgt, go).reshape(x.shape)
+        if input_grad:
+            grad_input = np.matmul(wgt, go).reshape(x.shape)
     else:
         prods = np.empty((n, g, og, wgt.shape[1]), dtype=np.result_type(grad_out, x))
-        grad_input = np.zeros(x.shape, dtype=x.dtype)
+        if input_grad:
+            grad_input = np.zeros(x.shape, dtype=x.dtype)
         taps = _taps(h, w, oh, ow, spec.kernel, spec.stride, spec.padding)
         step = _chunk_images(x, spec, oh, ow)
         for lo in range(0, n, step):
             chunk = slice(lo, lo + step)
             cols = _im2col(x[chunk], spec, oh, ow, scratch=True)
             np.matmul(go[chunk], cols.transpose(0, 1, 3, 2), out=prods[chunk])
+            if not input_grad:
+                continue
             dcols = np.matmul(wgt, go[chunk], out=cols).reshape(
                 len(cols), spec.c_in, *spec.kernel, oh, ow)
             gi = grad_input[chunk]
@@ -301,10 +308,11 @@ def named_conv_forward(x, p, convs, name):
     return conv2d_forward(x, p[f"{name}_w"], p[f"{name}_b"], convs[name])
 
 
-def named_conv_backward(grad_out, saved_input, p, convs, name, grads):
-    """The input gradient of conv ``convs[name]``; its others go into ``grads``."""
+def named_conv_backward(grad_out, saved_input, p, convs, name, grads, input_grad=True):
+    """The input gradient of conv ``convs[name]`` (None without ``input_grad``);
+    its others go into ``grads``."""
     gx, grads[f"{name}_w"], grads[f"{name}_b"] = conv2d_backward(
-        grad_out, saved_input, p[f"{name}_w"], convs[name])
+        grad_out, saved_input, p[f"{name}_w"], convs[name], input_grad=input_grad)
     return gx
 
 
@@ -352,7 +360,7 @@ def unpool2d_forward(x, indices, out_shape):
     indices = np.asarray(indices)
     if indices.shape != x.shape:
         raise IntegrityError(f"indices shape {indices.shape} != input shape {x.shape}")
-    total = int(np.prod(out_shape))
+    total = math.prod(out_shape)
     if indices.size and (indices.min() < 0 or indices.max() >= total):
         raise IntegrityError("unpool index out of bounds for target shape")
     out = np.zeros(total, dtype=x.dtype)

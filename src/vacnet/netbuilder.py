@@ -288,8 +288,10 @@ def parse_dsl(text):
 # Compiled blocks
 
 # Each layer kind runs as ``<kind>_forward(x, p, layer) -> (out, cache)`` and
-# ``<kind>_backward(grad, cache, p, layer) -> (grad_input, grads)``, with the
-# gradients keyed like the parameters ``p``. Softmax has no backward:
+# ``<kind>_backward(grad, cache, p, layer, input_grad=True) -> (grad_input,
+# grads)``, with the gradients keyed like the parameters ``p``. With
+# ``input_grad=False`` nothing reads the input gradient: the backward returns
+# None for it and skips the work only it needs. Softmax has no backward:
 # ``Network.loss_and_backward`` fuses its gradient with the cross-entropy's.
 
 def conv_forward(x, p, layer):
@@ -298,9 +300,10 @@ def conv_forward(x, p, layer):
     return y, (x, y)
 
 
-def conv_backward(grad, cache, p, layer):
+def conv_backward(grad, cache, p, layer, input_grad=True):
     x, y = cache
-    gx, gw, gb = K.conv2d_backward(K.relu_backward(grad, y), x, p["w"], layer.spec)
+    gx, gw, gb = K.conv2d_backward(K.relu_backward(grad, y), x, p["w"], layer.spec,
+                                   input_grad=input_grad)
     return gx, {"w": gw, "b": gb}
 
 
@@ -308,8 +311,8 @@ def gap_forward(x, p, layer):
     return K.global_avg_pool_forward(x), x.shape
 
 
-def gap_backward(grad, in_shape, p, layer):
-    return K.global_avg_pool_backward(grad, in_shape), {}
+def gap_backward(grad, in_shape, p, layer, input_grad=True):
+    return K.global_avg_pool_backward(grad, in_shape) if input_grad else None, {}
 
 
 def fc_forward(x, p, layer):
@@ -317,10 +320,10 @@ def fc_forward(x, p, layer):
     return K.fc_forward(flat, p["w"], p["b"]), (flat, x.shape)
 
 
-def fc_backward(grad, cache, p, layer):
+def fc_backward(grad, cache, p, layer, input_grad=True):
     flat, in_shape = cache
     gx, gw, gb = K.fc_backward(grad, flat, p["w"])
-    return gx.reshape(in_shape), {"w": gw, "b": gb}
+    return gx.reshape(in_shape) if input_grad else None, {"w": gw, "b": gb}
 
 
 def softmax_forward(x, p, layer):
@@ -348,10 +351,13 @@ class Block:
         p = {name: arr.astype(np.float32) for name, arr in self.p.items()}
         return globals()[f"{self.kind}_forward"](x, p, self.layer)[0]
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         gx, self.grads = globals()[f"{self.kind}_backward"](grad, self._cache, self.p,
-                                                            self.layer)
+                                                            self.layer, input_grad)
         return gx
+
+    def clear_forward_state(self):
+        self._cache = None
 
 
 class ResidualBlock:
@@ -370,10 +376,14 @@ class ResidualBlock:
     def predict(self, x):
         return x + _chain(self.children, "predict", x)
 
-    def backward(self, grad):
-        g = _chain(reversed(self.children), "backward", grad)
+    def backward(self, grad, input_grad=True):
+        g = _backward(self.children, grad, input_grad)
         self.grads = dict(_named(self.children, lambda c: c.grads.items()))
-        return grad + g
+        return grad + g if input_grad else None
+
+    def clear_forward_state(self):
+        for c in self.children:
+            c.clear_forward_state()
 
 
 def _chain(blocks, method, x):
@@ -381,6 +391,14 @@ def _chain(blocks, method, x):
     for b in blocks:
         x = getattr(b, method)(x)
     return x
+
+
+def _backward(blocks, grad, input_grad):
+    """``grad`` back through ``blocks``, last first. The first block forms
+    an input gradient only when ``input_grad`` asks for one."""
+    for b in reversed(blocks[1:]):
+        grad = b.backward(grad)
+    return blocks[0].backward(grad, input_grad)
 
 
 def _named(blocks, items):
@@ -455,13 +473,23 @@ class Network:
         return x
 
     def loss_and_backward(self, labels):
-        """Mean cross-entropy of the last forward batch, populating block grads."""
+        """Mean cross-entropy of the last forward batch, populating block
+        grads. Nothing reads the network's input gradient, so the first
+        block forms none."""
         if self._probs is None:
             raise K.IntegrityError("call forward before loss_and_backward")
         loss = K.cross_entropy(self._probs, labels)
         grad = K.softmax_xent_backward(self._probs, labels)
-        _chain(reversed(self.blocks[:-1]), "backward", grad)  # softmax gradient is fused above
+        _backward(self.blocks[:-1], grad, False)  # softmax gradient is fused above
         return loss
+
+    def clear_forward_state(self):
+        """Drop every block's cache and the kept probabilities, so that the
+        network holds no forward state and a ``loss_and_backward`` needs a
+        fresh ``forward``; the parameters and gradients stay."""
+        self._probs = None
+        for b in self.blocks:
+            b.clear_forward_state()
 
 
 def compile_spec(spec, seed=0):

@@ -77,8 +77,9 @@ def pepe_forward(x, p, config):
     return acts[-1], cache
 
 
-def pepe_backward(grad_out, cache, p, config):
-    """Returns (grad_input, grads), with grads keyed and ordered like ``p``."""
+def pepe_backward(grad_out, cache, p, config, input_grad=True):
+    """Returns (grad_input, grads), with grads keyed and ordered like ``p``;
+    ``input_grad=False`` returns None for the input gradient."""
     if cache.get("config") != config:
         raise IntegrityError("cache was produced by a different configuration")
     acts = cache["acts"]
@@ -89,5 +90,5 @@ def pepe_backward(grad_out, cache, p, config):
     grads = {}
     for i, name in reversed(list(enumerate(config.convs))):
         grad = K.named_conv_backward(K.relu_backward(grad, acts[i + 1]), acts[i], p,
-                                     config.convs, name, grads)
+                                     config.convs, name, grads, input_grad or i > 0)
     return grad, {name: grads[name] for name in p}

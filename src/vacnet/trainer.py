@@ -151,10 +151,19 @@ def train(net, dataset, config):
     Each epoch visits the images in a fresh permutation from numpy's PCG64
     generator seeded with config.seed, so runs reproduce bitwise. The
     network's int8 blobs are dropped, since training moves the weights away
-    from them.
+    from them. The network comes back, also from a failed run, holding no
+    forward state: its last step's caches describe weights that have since
+    moved.
     """
     _check_dataset(net, dataset, "train on")
     net.blobs.clear()
+    try:
+        return _train_epochs(net, dataset, config)
+    finally:
+        net.clear_forward_state()
+
+
+def _train_epochs(net, dataset, config):
     rng = np.random.Generator(np.random.PCG64(config.seed))
     velocities = {name: np.zeros_like(arr) for name, arr in net.parameters()}
     report = TrainReport()

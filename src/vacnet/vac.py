@@ -13,8 +13,13 @@ condensed grid, ``gated = unpool(q * k_sig * scale)``, and backward scatters
 the gating's and the embedding's pooled-grid gradients in one pass.
 Overlapping windows (stride < kernel) pick some pixels more than once; the
 scatter adds there, as the expanded map would. Nearest expansion gates on
-the full grid and also caches the down-mixed map. No cache holds an
-expanded attention map.
+the full grid.
+
+The cache holds the block input, the pool picks, ``q``, the embedding's
+ReLU output and ``k_sig``, plus the down-mixed map for nearest expansion.
+It holds neither the expanded attention nor ``gated``, the up-mix's input:
+backward rebuilds ``gated`` with ``gating_map``, which runs the forward's
+own ops, so its bits are the forward's.
 """
 
 from __future__ import annotations
@@ -111,13 +116,30 @@ def _expand_nearest_maps(h, w, qh, qw, stride):
     return rows, cols
 
 
+def gating_map(cache, p):
+    """The up-mix's input, from a ``vac_forward`` cache and the parameters
+    ``p`` it ran on: ``unpool(q * k_sig * scale)`` onto the down-mixed grid,
+    or, expanded nearest, ``v_down * k_sig[rows, cols] * scale``."""
+    config, k_sig = cache["config"], cache["k_sig"]
+    s = p["scale"].reshape(-1, 1, 1)
+    if config.expand_mode == "unpool":
+        v = cache["input"]
+        gated = cache["q"] * k_sig
+        gated *= s  # in place: a broadcast product allocates
+        return K.unpool2d_forward(gated, cache["pool_idx"],
+                                  (len(v), config.c_down, *v.shape[2:]))
+    rows, cols = cache["nearest_maps"]
+    gated = cache["v_down"] * k_sig[:, :, rows[:, None], cols[None, :]]
+    gated *= s
+    return gated
+
+
 def vac_forward(v, p, config):
     """Run the block on parameters ``p`` (from ``config.init_params``);
     returns (output, cache) where cache feeds vac_backward."""
     K.check_finite(v, "vac input")
     pk, ps = config.pool
     convs = config.convs
-    s = p["scale"].reshape(-1, 1, 1)
 
     v_down = K.named_conv_forward(v, p, convs, "down")
     q, idx = K.maxpool2d_forward(v_down, (pk, pk), (ps, ps))
@@ -126,27 +148,21 @@ def vac_forward(v, p, config):
     k_sig = K.sigmoid_forward(K.named_conv_forward(e_act, p, convs, "embed_pointwise"))
     cache = {"config": config, "input": v, "pool_idx": idx, "q": q,
              "e_act": e_act, "k_sig": k_sig}
-    if config.expand_mode == "unpool":
-        gated = q * k_sig
-        gated *= s  # in place: a broadcast product allocates
-        gated = K.unpool2d_forward(gated, idx, v_down.shape)
-    else:
+    if config.expand_mode == "nearest":
         (h, w), (qh, qw) = v_down.shape[2:], k_sig.shape[2:]
-        rows, cols = cache["nearest_maps"] = _expand_nearest_maps(h, w, qh, qw, ps)
-        gated = v_down * k_sig[:, :, rows[:, None], cols[None, :]]
-        gated *= s
+        cache["nearest_maps"] = _expand_nearest_maps(h, w, qh, qw, ps)
         cache["v_down"] = v_down
-    cache["gated"] = gated
-    return K.named_conv_forward(gated, p, convs, "up"), cache
+    return K.named_conv_forward(gating_map(cache, p), p, convs, "up"), cache
 
 
-def vac_backward(grad_out, cache, p, config):
+def vac_backward(grad_out, cache, p, config, input_grad=True):
     """Gradients for the input and every parameter; returns (grad_input,
-    grads), with grads keyed and ordered like ``p``."""
+    grads), with grads keyed and ordered like ``p``. ``input_grad=False``
+    returns None for the input gradient and skips the down-mix's share of
+    it; the parameter gradients keep their bits."""
     if cache.get("config") is not config and cache.get("config") != config:
         raise IntegrityError("cache was produced by a different configuration")
     v = cache["input"]
-    gated = cache["gated"]
     k_sig = cache["k_sig"]
     idx = cache["pool_idx"]
     grad_out = np.asarray(grad_out)
@@ -156,7 +172,7 @@ def vac_backward(grad_out, cache, p, config):
 
     grads = {}
     convs = config.convs
-    g_gated = K.named_conv_backward(grad_out, gated, p, convs, "up", grads)
+    g_gated = K.named_conv_backward(grad_out, gating_map(cache, p), p, convs, "up", grads)
 
     s = p["scale"].reshape(-1, 1, 1)
     # a scalar scale keeps a plain sum; a per-channel one of size 1 keeps shape (1,)
@@ -187,8 +203,8 @@ def vac_backward(grad_out, cache, p, config):
     if config.expand_mode == "unpool":
         # the gating's and the embedding's pooled-grid gradients, in one scatter
         g_q += g_q_gate
-        g_vdown = K.maxpool2d_backward(g_q, idx, gated.shape)
+        g_vdown = K.maxpool2d_backward(g_q, idx, g_gated.shape)
     else:
-        g_vdown = g_vdown_gate + K.maxpool2d_backward(g_q, idx, gated.shape)
-    g_v = K.named_conv_backward(g_vdown, v, p, convs, "down", grads)
+        g_vdown = g_vdown_gate + K.maxpool2d_backward(g_q, idx, g_gated.shape)
+    g_v = K.named_conv_backward(g_vdown, v, p, convs, "down", grads, input_grad)
     return g_v, {name: grads[name] for name in p}

@@ -26,7 +26,7 @@ from vacnet import kernels as K
 from vacnet import netbuilder as nb
 from vacnet.pepe import PepeConfig, pepe_backward, pepe_forward
 from vacnet.trainer import Dataset, TrainConfig, evaluate, train
-from vacnet.vac import VacConfig, vac_backward, vac_forward
+from vacnet.vac import VacConfig, gating_map, vac_backward, vac_forward
 
 MNIST_FILES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
                "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
@@ -426,15 +426,17 @@ def test_criterion_4_vac_invariants(capsys):
         qh = (h - pk) // ps + 1
         qw = (w - pk) // ps + 1
         bound = x.shape[0] * cfg.c_down * qh * qw
-        attn = K.unpool2d_forward(cache["k_sig"], cache["pool_idx"], cache["gated"].shape)
+        attn = K.unpool2d_forward(cache["k_sig"], cache["pool_idx"],
+                                  gating_map(cache, params).shape)
         nonzeros = int(np.count_nonzero(attn))
         if nonzeros > bound:
             failures.append(f"config {i}: attention nonzeros {nonzeros} > {bound}")
         params["scale"][...] = 0.0
         out0, cache0 = vac_forward(x, params, cfg)
-        bias_only = K.conv2d_forward(np.zeros_like(cache0["gated"]),
+        gated0 = gating_map(cache0, params)
+        bias_only = K.conv2d_forward(np.zeros_like(gated0),
                                      params["up_w"], params["up_b"], cfg.up_spec())
-        if np.any(cache0["gated"]) or np.abs(out0 - bias_only).max() > 0:
+        if np.any(gated0) or np.abs(out0 - bias_only).max() > 0:
             failures.append(f"config {i}: zero scale does not annihilate gating")
     with capsys.disabled():
         _verdict(4, not failures, "; ".join(failures[:5]) or "50 configs")

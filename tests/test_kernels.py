@@ -303,6 +303,48 @@ class TestConvChunks:
             np.testing.assert_allclose(got, wg, rtol=0, atol=1e-12, err_msg=name)
 
 
+class TestConvWithoutInputGrad:
+    """``input_grad=False`` returns None for the input gradient and the
+    weight and bias gradients of the full backward, byte for byte."""
+
+    @pytest.mark.parametrize("per_chunk", [None, 1, 2])  # None: one chunk
+    @pytest.mark.parametrize("spec, hw", [
+        (ConvSpec(3, 4, (3, 3), (2, 2), (1, 1)), (7, 8)),             # dense 3x3 s2 p1
+        (ConvSpec(4, 6, (3, 2), (1, 2), (0, 1), groups=2), (5, 5)),   # grouped
+        (ConvSpec(3, 6, (3, 3), padding=(1, 1), groups=3), (5, 6)),   # depthwise x2
+        (ConvSpec(4, 6), (4, 3)),                                     # pointwise
+    ])
+    def test_parameter_grads_bitwise(self, monkeypatch, spec, hw, per_chunk):
+        r = rng(per_chunk or 0)
+        x = r.standard_normal((5, spec.c_in, *hw))
+        w = r.standard_normal(spec.weight_shape())
+        oh, ow = spec.out_hw(*hw)
+        gout = r.standard_normal((5, spec.c_out, oh, ow))
+        if per_chunk:
+            image = spec.c_in * spec.kernel[0] * spec.kernel[1] * oh * ow * 8
+            monkeypatch.setattr(K, "PATCH_BYTES", per_chunk * image)
+        _, gw, gb = K.conv2d_backward(gout, x, w, spec)
+        got = K.conv2d_backward(gout, x, w, spec, input_grad=False)
+        assert got[0] is None
+        assert got[1].tobytes() == gw.tobytes() and got[2].tobytes() == gb.tobytes()
+
+    def test_forms_no_input_gradient(self):
+        # attendnet-micro-b's first conv: the 0.8 MB input gradient and the
+        # column gradient are never formed
+        spec = ConvSpec(3, 16, (3, 3), padding=(1, 1))
+        gout, x, w, _ = TestConvWorkspace.case(spec, (32, 3, 32, 32), 0)
+        peaks = []
+        for input_grad in (True, False):
+            K.conv2d_backward(gout, x, w, spec, input_grad=input_grad)  # warm up
+            tracemalloc.start()
+            try:
+                K.conv2d_backward(gout, x, w, spec, input_grad=input_grad)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] - x.nbytes, f"peaks {peaks} B"
+
+
 class TestConvOracles:
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("spec, hw", [

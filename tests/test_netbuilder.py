@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import MulCounter, assert_close_grad, naive_network_forward, numeric_grad
+from vacnet import kernels as K
 from vacnet import netbuilder as nb
 from vacnet import quant
 from vacnet.complexity import count_mult_adds
@@ -526,6 +527,54 @@ class TestForwardBackward:
             elif b.kind in ("vac", "pepe"):
                 assert not {"pre", "pres", "e_pre"} & b._cache.keys()
         assert {"conv", "vac", "pepe"} <= {b.kind for b in blocks}
+
+    def test_micro_b_forward_keeps_no_gating_map(self):
+        # a VAC's cache holds no up-mix input, which backward rebuilds: with
+        # it kept, a batch-32 micro-b forward left 24.02 MiB allocated; 21.02
+        # MiB without
+        spec = nb.reference_spec("attendnet-micro-b")
+        x = np.random.default_rng(0).random((32, *spec.input_shape))
+        nb.compile_spec(spec).forward(x)  # warm up the tap tables and conv specs
+        net = nb.compile_spec(spec)
+        tracemalloc.start()
+        try:
+            net.forward(x)
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert left <= 22 * 2**20, f"{left / 2**20:.2f} MiB left by forward"
+
+
+FIRST_BLOCKS = {
+    "conv": "conv k3 s2 p1 c4",
+    "vac": "vac dm2 e1:4 e2:2 um3",
+    "vac-nearest": "vac dm2 e1:4 e2:2 um3 pool3 ps1 expand:nearest spc1",
+    "pepe": "pepe p1:2 e1:4 p2:2 e2:4 s2",
+    "res": "res{\nvac dm2 e1:2 e2:2 um3\nconv k3 p1 c3\n}res",
+}
+
+
+@pytest.mark.parametrize("first", sorted(FIRST_BLOCKS))
+def test_first_block_skips_input_gradient_keeping_parameter_grads(first):
+    # nothing reads the network's input gradient, so loss_and_backward asks
+    # the first block for none; every parameter gradient keeps its bits
+    text = f"input 3 8 8\n{FIRST_BLOCKS[first]}\nconv k3 p1 c6\ngap\nfc 4\nsoftmax\n"
+    net = nb.compile_spec(nb.parse_dsl(text), seed=2)
+    r = np.random.default_rng(2)
+    x, labels = r.random((5, 3, 8, 8)), r.integers(0, 4, 5)
+    net.forward(x)
+    net.loss_and_backward(labels)
+    got = dict(net.gradients())
+    grad = K.softmax_xent_backward(net._probs, labels)
+    for b in reversed(net.blocks[1:-1]):
+        grad = b.backward(grad)
+    first_block = net.blocks[0]
+    assert first_block.backward(grad, input_grad=False) is None
+    assert first_block.backward(grad).shape == x.shape
+    want = dict(net.gradients())
+    assert got.keys() == want.keys()
+    for name, g in got.items():
+        assert g.tobytes() == want[name].tobytes(), name
 
 
 def leaf_blocks(net):

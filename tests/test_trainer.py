@@ -7,7 +7,7 @@ import pytest
 
 from vacnet import netbuilder as nb
 from vacnet import trainer
-from vacnet.kernels import ConfigError
+from vacnet.kernels import ConfigError, IntegrityError
 from vacnet.trainer import (DataFormatError, Dataset, DivergenceError, TrainConfig,
                             evaluate, load_cifar10, load_idx, train)
 
@@ -158,7 +158,8 @@ class TestTrain:
     def test_micro_b_epoch_peak(self):
         # A warmed-up b32 attendnet-micro-b epoch: forward caches, gradients
         # and one conv chunk's patches at a time. Unfolding each conv's whole
-        # batch at once peaked at 50.8 MiB.
+        # batch at once peaked at 50.8 MiB. The network comes back without
+        # forward state: keeping its caches left 25.0 MiB allocated.
         spec = nb.reference_spec("attendnet-micro-b")
         r = np.random.default_rng(0)
         ds = Dataset(r.random((64, *spec.input_shape)), r.integers(0, 10, 64))
@@ -168,10 +169,31 @@ class TestTrain:
         tracemalloc.start()
         try:
             train(net, ds, config)
-            _, peak = tracemalloc.get_traced_memory()
+            left, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 45 * 2**20, f"{peak / 2**20:.2f} MiB peak"
+        assert left < 2**20, f"{left / 2**20:.2f} MiB left by train"
+
+    @pytest.mark.parametrize("diverge", [False, True])
+    def test_returns_network_without_forward_state(self, diverge):
+        # the last step's caches belong to weights that step has since moved
+        net = nb.compile_spec(nb.parse_dsl("input 1 4 4\nconv k1 c4\nres{\nconv k1 c4\n}res\n"
+                                           "vac dm2 e1:2 e2:2 um4\ngap\nfc 2\nsoftmax\n"),
+                              seed=0)
+        ds = toy_dataset(n=8)
+        if diverge:
+            ds.images[3, 0, 1, 1] = np.nan
+            with pytest.raises(DivergenceError):
+                train(net, ds, TrainConfig(batch_size=4))
+        else:
+            train(net, ds, TrainConfig(batch_size=4))
+        blocks = [c for b in net.blocks for c in getattr(b, "children", [b])]
+        assert len(blocks) == 6
+        assert net._probs is None
+        assert all(b._cache is None for b in blocks)
+        with pytest.raises(IntegrityError, match="call forward"):
+            net.loss_and_backward(ds.labels[:4])
 
     def test_loss_finite_guard(self):
         net = nb.compile_spec(nb.parse_dsl(FC_ONLY), seed=0)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from oracles import assert_close_grad, naive_nearest, naive_unpool, numeric_grad
 from vacnet import kernels as K
 from vacnet.kernels import ConfigError, IntegrityError, ShapeError
-from vacnet.vac import VacConfig, vac_backward, vac_forward
+from vacnet.vac import VacConfig, gating_map, vac_backward, vac_forward
 
 
 def make(c_in=16, c_down=4, e1=4, e2=4, pool=(2, 2), ek=3, groups=4, seed=0, **kw):
@@ -16,12 +16,13 @@ def make(c_in=16, c_down=4, e1=4, e2=4, pool=(2, 2), ek=3, groups=4, seed=0, **k
     return cfg, params
 
 
-def expanded_attention(cache, cfg):
+def expanded_attention(cache, cfg, params):
     """The full-grid attention map, rebuilt from the cached condensed one as
     the block's own expansion forms it."""
     k_sig = cache["k_sig"]
     if cfg.expand_mode == "unpool":
-        return K.unpool2d_forward(k_sig, cache["pool_idx"], cache["gated"].shape)
+        return K.unpool2d_forward(k_sig, cache["pool_idx"],
+                                  gating_map(cache, params).shape)
     rows, cols = cache["nearest_maps"]
     return k_sig[:, :, rows[:, None], cols[None, :]]
 
@@ -66,11 +67,11 @@ class TestForward:
         assert down_mixed(x, params, cfg).shape == (1, 4, 8, 8)
         assert cache["q"].shape == (1, 4, 4, 4)
         assert cache["k_sig"].shape == (1, 4, 4, 4)
-        assert expanded_attention(cache, cfg).shape == (1, 4, 8, 8)
-        assert cache["gated"].shape == (1, 4, 8, 8)
+        assert expanded_attention(cache, cfg, params).shape == (1, 4, 8, 8)
+        assert gating_map(cache, params).shape == (1, 4, 8, 8)
         assert out.shape == (1, 16, 8, 8)
-        # backward rebuilds what it needs of both from the condensed grid
-        assert not {"attn", "v_down"} & set(cache)
+        # backward rebuilds what it needs of all three from the condensed grid
+        assert not {"attn", "v_down", "gated"} & set(cache)
 
     def test_zero_scale_annihilates(self):
         cfg, params = make()
@@ -78,7 +79,7 @@ class TestForward:
         params["up_b"][:] = np.arange(16, dtype=np.float64)
         x = np.random.default_rng(2).standard_normal((2, 16, 8, 8))
         out, cache = vac_forward(x, params, cfg)
-        assert not cache["gated"].any()
+        assert not gating_map(cache, params).any()
         np.testing.assert_array_equal(
             out, np.broadcast_to(params["up_b"][None, :, None, None], out.shape))
 
@@ -112,6 +113,20 @@ class TestForward:
         want = K.conv2d_forward(gated, params["up_w"], params["up_b"], cfg.up_spec())
         np.testing.assert_allclose(out, want, atol=1e-12)
 
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"per_channel_scale": True}, {"pool": (3, 1)},
+        {"expand_mode": "nearest"}, {"expand_mode": "nearest", "pool": (2, 1)}])
+    def test_up_mix_of_rebuilt_gating_map_is_the_output(self, kwargs):
+        # backward rebuilds the up-mix's input from the cache: it must be the
+        # map the forward mixed, to the bit
+        cfg, params = make(seed=3, **kwargs)
+        params["scale"] += np.random.default_rng(31).normal(0.0, 0.5, params["scale"].shape)
+        x = np.random.default_rng(30).standard_normal((3, 16, 8, 8))
+        out, cache = vac_forward(x, params, cfg)
+        again = K.conv2d_forward(gating_map(cache, params), params["up_w"], params["up_b"],
+                                 cfg.up_spec())
+        assert again.tobytes() == out.tobytes()
+
     def test_output_shape_equals_input_for_random_configs(self):
         r = np.random.default_rng(99)
         for _ in range(50):
@@ -136,7 +151,7 @@ class TestForward:
         for _ in range(10):
             x = r.standard_normal((2, 8, 7, 7))
             _, cache = vac_forward(x, params, cfg)
-            attn = expanded_attention(cache, cfg)
+            attn = expanded_attention(cache, cfg, params)
             windows = cache["q"].shape[2] * cache["q"].shape[3]
             for b in range(attn.shape[0]):
                 nz = np.count_nonzero(attn[b])
@@ -170,7 +185,7 @@ class TestForward:
         out, cache = vac_forward(x, params, cfg)
         assert out.shape == x.shape
         # nearest expansion repeats every pooled value across its window
-        attn = expanded_attention(cache, cfg)
+        attn = expanded_attention(cache, cfg, params)
         assert (attn > 0).all()
 
     def test_channel_mismatch_rejected(self):
@@ -251,9 +266,10 @@ class TestBackward:
 
         assert_close_grad(gp["scale"], numeric_grad(loss, params["scale"]), 1e-5)
         # analytic form: sum of (upstream through up-mix) * V' * A
-        g_gated, _, _ = K.conv2d_backward(gout, cache["gated"], params["up_w"],
+        g_gated, _, _ = K.conv2d_backward(gout, gating_map(cache, params), params["up_w"],
                                           cfg.up_spec())
-        want = (g_gated * down_mixed(x, params, cfg) * expanded_attention(cache, cfg)).sum()
+        attn = expanded_attention(cache, cfg, params)
+        want = (g_gated * down_mixed(x, params, cfg) * attn).sum()
         assert gp["scale"] == pytest.approx(want, rel=1e-12)
 
 
