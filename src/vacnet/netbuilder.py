@@ -4,7 +4,7 @@ The DSL is line-oriented, one directive per line:
 
     input C H W
     conv c8 [k1] [s1] [p0|same] [g1]
-    vac dm4 e1:8 e2:4 um8 [pool2] [ps<pool>] [ek3] [g1] [expand:unpool|nearest] [spc0|1]
+    vac dm4 e1:8 e2:4 um8 [pool2] [ek3] [g1] [spc0|1]
     pepe p1:8 e1:16 p2:8 e2:32 [k3] [s1]
     res{
     ...
@@ -144,12 +144,12 @@ class NetworkSpec:
 
 REQUIRED = object()  # an option a directive cannot do without
 
-# Each configurable directive's options, key -> default. ``ps`` defaults to
-# None, which stands for the value of ``pool``.
+# Each configurable directive's options, key -> default. Every value is an
+# integer, except that conv's ``p`` also takes ``same``.
 OPTIONS = {
     "conv": {"k": 1, "s": 1, "p": 0, "c": REQUIRED, "g": 1},
     "vac": {"dm": REQUIRED, "e1": REQUIRED, "e2": REQUIRED, "um": REQUIRED, "pool": 2,
-            "ps": None, "ek": 3, "g": 1, "expand": "unpool", "spc": 0},
+            "ek": 3, "g": 1, "spc": 0},
     "pepe": {"p1": REQUIRED, "e1": REQUIRED, "p2": REQUIRED, "e2": REQUIRED, "k": 3, "s": 1},
 }
 # How many positive integers each other directive takes.
@@ -182,8 +182,8 @@ def _parse_options(word, tokens, line, col):
             value = token[len(key):]
         if key in opts:
             raise ParseError(f"duplicate option {key!r}", line, tcol)
-        keep_text = isinstance(table[key], str) or (key == "p" and value == "same")
-        opts[key] = value if keep_text else _int_value(key, value, line, tcol)
+        same = (key, value) == ("p", "same")
+        opts[key] = value if same else _int_value(key, value, line, tcol)
     for key, default in table.items():
         if default is REQUIRED and key not in opts:
             raise ParseError(f"{word} requires option {key!r}", line, col)
@@ -202,9 +202,8 @@ def _configured_layer(word, o, c_in):
             raise ConfigError(f"spc must be 0 or 1, got {o['spc']}")
         return VacConfig(
             c_in=c_in, c_down=o["dm"], e1=o["e1"], e2=o["e2"], c_up=o["um"],
-            pool=(o["pool"], o["pool"] if o["ps"] is None else o["ps"]),
-            embed_kernel=o["ek"], embed_groups=o["g"],
-            per_channel_scale=bool(o["spc"]), expand_mode=o["expand"])
+            pool=o["pool"], embed_kernel=o["ek"], embed_groups=o["g"],
+            per_channel_scale=bool(o["spc"]))
     return PepeConfig(c_in=c_in, p1=o["p1"], e1=o["e1"], p2=o["p2"], e2=o["e2"],
                       dw_kernel=o["k"], stride=o["s"])
 
@@ -387,9 +386,13 @@ class ResidualBlock:
 
 
 def _chain(blocks, method, x):
-    """``x`` through each block's ``method`` in turn."""
-    for b in blocks:
-        x = getattr(b, method)(x)
+    """``x`` through each block's ``method`` in turn. A NonFiniteError gains
+    the index and kind of the block it came from, at each level it passes."""
+    for i, b in enumerate(blocks):
+        try:
+            x = getattr(b, method)(x)
+        except K.NonFiniteError as e:
+            raise K.NonFiniteError(f"block {i} ({b.kind}): {e}") from e
     return x
 
 
@@ -464,11 +467,7 @@ class Network:
         return x
 
     def _run(self, x, method):
-        for i, b in enumerate(self.blocks):
-            try:
-                x = getattr(b, method)(x)
-            except K.NonFiniteError as e:
-                raise K.NonFiniteError(f"block {i} ({b.kind}): {e}") from e
+        x = _chain(self.blocks, method, x)
         K.check_finite(x, "network output")
         return x
 

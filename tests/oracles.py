@@ -118,16 +118,6 @@ def naive_unpool(x, idx, out_shape):
     return out.reshape(out_shape)
 
 
-def naive_nearest(x, out_shape, stride):
-    """Copy pooled value (r, c) to every pixel of its stride x stride tile;
-    pixels past the last tile read the last pooled row or column."""
-    _, _, qh, qw = x.shape
-    out = np.zeros(out_shape)
-    for bi, ci, y, xx in np.ndindex(*out_shape):
-        out[bi, ci, y, xx] = x[bi, ci, min(y // stride, qh - 1), min(xx // stride, qw - 1)]
-    return out
-
-
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
@@ -145,8 +135,8 @@ def naive_network_forward(spec, params, x, counter):
     def run_vac(name, cfg, x):
         vd = naive_conv2d(x, params[f"{name}.down_w"], params[f"{name}.down_b"],
                           counter=counter)
-        pk, ps = cfg.pool
-        q, idx = naive_maxpool(vd, (pk, pk), (ps, ps))
+        pk = cfg.pool
+        q, idx = naive_maxpool(vd, (pk, pk), (pk, pk))
         gs = cfg.embed_grouped_spec()
         e = naive_conv2d(q, params[f"{name}.embed_grouped_w"],
                          params[f"{name}.embed_grouped_b"], gs.stride, gs.padding,
@@ -154,10 +144,7 @@ def naive_network_forward(spec, params, x, counter):
         e = np.maximum(e, 0.0)
         k = naive_conv2d(e, params[f"{name}.embed_pointwise_w"],
                          params[f"{name}.embed_pointwise_b"], counter=counter)
-        if cfg.expand_mode == "unpool":
-            attn = naive_unpool(_sigmoid(k), idx, vd.shape)
-        else:
-            attn = naive_nearest(_sigmoid(k), vd.shape, ps)
+        attn = naive_unpool(_sigmoid(k), idx, vd.shape)
         scale = params[f"{name}.scale"]  # shape () or one per down-mixed channel
         gated = np.zeros_like(vd)
         for i in np.ndindex(*vd.shape):

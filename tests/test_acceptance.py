@@ -422,9 +422,8 @@ def test_criterion_4_vac_invariants(capsys):
         if out.shape != x.shape:
             failures.append(f"config {i}: shape {out.shape} != {x.shape}")
             continue
-        pk, ps = cfg.pool
-        qh = (h - pk) // ps + 1
-        qw = (w - pk) // ps + 1
+        qh = h // cfg.pool
+        qw = w // cfg.pool
         bound = x.shape[0] * cfg.c_down * qh * qw
         attn = K.unpool2d_forward(cache["k_sig"], cache["pool_idx"],
                                   gating_map(cache, params).shape)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import struct
@@ -68,6 +69,32 @@ class TestExitCodes:
                          "--data", img, "--labels", lab,
                          "--out", str(tmp_path / "o")])
         assert code == 2
+
+    # "vac dm2 e1:2 e2:2 um4" is line 3 of SPEC_TEXT; an option after it is at column 23
+    DELETED_VAC_OPTIONS = {"expand:nearest": "unknown option 'expand'",
+                           "ps1": "cannot parse option 'ps1'"}
+
+    @pytest.mark.parametrize("option", DELETED_VAC_OPTIONS)
+    def test_spec_with_deleted_vac_option_exit_2(self, tmp_path, capsys, option):
+        p = tmp_path / "old.dsl"
+        p.write_text(SPEC_TEXT.replace("um4", f"um4 {option}"))
+        assert cli.main(["count", "--spec", str(p)]) == 2
+        message = self.DELETED_VAC_OPTIONS[option]
+        assert capsys.readouterr().err == f"error: line 3, col 23: {message}\n"
+
+    @pytest.mark.parametrize("option", DELETED_VAC_OPTIONS)
+    def test_model_with_deleted_vac_option_exit_3(self, tmp_path, capsys, option):
+        # a file written when the VAC took the option, which added no parameter
+        net = nb.compile_spec(nb.parse_dsl(SPEC_TEXT), seed=0)
+        net.spec = dataclasses.replace(net.spec, text=SPEC_TEXT.replace("um4", f"um4 {option}"))
+        path = tmp_path / "old.acnk"
+        nb.save(net, path)
+        img, lab = write_idx_pair(tmp_path)
+        code = cli.main(["eval", "--model", str(path), "--data", img, "--labels", lab])
+        assert code == 3
+        message = self.DELETED_VAC_OPTIONS[option]
+        assert capsys.readouterr().err == \
+            f"error: model file holds a bad spec: line 3, col 23: {message}\n"
 
     def test_corrupt_model_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.acnk"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import struct
@@ -27,6 +28,15 @@ gap
 fc 10
 softmax
 """
+
+# VAC options the DSL no longer has, each with the parse error it now raises
+# at column 23 of a "vac dm2 e1:. e2:2 um. <option>" line
+DELETED_VAC_OPTIONS = {
+    "expand:nearest": "unknown option 'expand'",
+    "expand:unpool": "unknown option 'expand'",
+    "ps1": "cannot parse option 'ps1'",
+    "ps:2": "unknown option 'ps'",
+}
 
 RES = """\
 input 2 8 8
@@ -102,12 +112,16 @@ class TestParse:
         with pytest.raises(ParseError, match="line 2"):
             nb.parse_dsl(f"input 4 8 8\n{line}\ngap\nfc 2\nsoftmax\n")
 
-    @pytest.mark.parametrize("expand", ["", " expand:nearest"])
-    def test_even_embedding_kernel_rejected_at_parse(self, expand):
+    def test_even_embedding_kernel_rejected_at_parse(self):
         # a padded even kernel grows the pooled grid, which count and unpool assume kept
         with pytest.raises(ParseError, match=r"line 2, col 1: embed_kernel=2 must be odd"):
-            nb.parse_dsl(f"input 4 8 8\nvac dm2 e1:4 e2:2 um4 ek2{expand}\n"
-                         "gap\nfc 2\nsoftmax\n")
+            nb.parse_dsl("input 4 8 8\nvac dm2 e1:4 e2:2 um4 ek2\ngap\nfc 2\nsoftmax\n")
+
+    @pytest.mark.parametrize("option", DELETED_VAC_OPTIONS)
+    def test_deleted_vac_option_rejected(self, option):
+        message = DELETED_VAC_OPTIONS[option]
+        with pytest.raises(ParseError, match=f"^line 2, col 23: {message}$"):
+            nb.parse_dsl(f"input 4 8 8\nvac dm2 e1:4 e2:2 um4 {option}\ngap\nfc 2\nsoftmax\n")
 
     def test_comments_and_blank_lines(self):
         spec = nb.parse_dsl("# header\n\n" + TINY)
@@ -163,8 +177,7 @@ class TestParse:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| ([^|]+?) \|", readme, re.M)
         documented = {(word, key): default.strip("`") for word, key, default in rows}
-        parser = {(word, key): ("required" if default is nb.REQUIRED
-                                else "pool" if default is None else str(default))
+        parser = {(word, key): "required" if default is nb.REQUIRED else str(default)
                   for word, table in nb.OPTIONS.items() for key, default in table.items()}
         assert documented == parser
 
@@ -202,10 +215,10 @@ def _block_line(draw, c, keep_shape=False):
         dm = draw(st.integers(1, c))
         g = draw(st.sampled_from(_divisors(dm)))
         e1 = g * draw(st.integers(1, 3))
-        pool, ps = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        pool = draw(st.integers(1, 3))
         ek = draw(st.sampled_from([1, 2, 3]))  # even ek is a parse error
-        extra = draw(st.sampled_from(["", "spc1", "expand:nearest", "spc1 expand:nearest"]))
-        return f"vac dm{dm} e1:{e1} e2:{dm} um{c} pool{pool} ps{ps} ek{ek} g{g} {extra}", c
+        spc = draw(st.integers(0, 1))
+        return f"vac dm{dm} e1:{e1} e2:{dm} um{c} pool{pool} ek{ek} g{g} spc{spc}", c
     p1 = draw(st.integers(1, c - 1))
     e1 = p1 * draw(st.integers(2 if p1 == 1 else 1, 3))
     p2 = draw(st.integers(1, e1 - 1))
@@ -481,6 +494,18 @@ class TestForwardBackward:
         with pytest.raises(NonFiniteError, match=r"block 1 \(vac\): vac input"):
             net.forward(x)
 
+    def test_non_finite_inside_residual_group_names_both_blocks(self):
+        # a NaN inner-conv weight trips the scan of the inner VAC's input
+        net = nb.compile_spec(nb.parse_dsl(
+            "input 1 8 8\nconv k3 p1 c4\nres{\nconv k1 c4\nvac dm2 e1:2 e2:2 um4\n}res\n"
+            "gap\nfc 3\nsoftmax\n"), seed=0)
+        net.blocks[1].children[0].p["w"][0, 0, 0, 0] = np.nan
+        x = np.random.default_rng(0).random((2, 1, 8, 8))
+        for run in (net.forward, net.predict):
+            with pytest.raises(NonFiniteError, match=r"^block 1 \(res\): block 1 \(vac\): "
+                                                     "vac input contains non-finite values$"):
+                run(x)
+
     def test_failed_forward_leaves_no_probabilities(self):
         # a backward after it would pair the last good batch's probabilities
         # with caches of the failed one
@@ -548,7 +573,7 @@ class TestForwardBackward:
 FIRST_BLOCKS = {
     "conv": "conv k3 s2 p1 c4",
     "vac": "vac dm2 e1:4 e2:2 um3",
-    "vac-nearest": "vac dm2 e1:4 e2:2 um3 pool3 ps1 expand:nearest spc1",
+    "vac-pool3-spc": "vac dm2 e1:4 e2:2 um3 pool3 spc1",
     "pepe": "pepe p1:2 e1:4 p2:2 e2:4 s2",
     "res": "res{\nvac dm2 e1:2 e2:2 um3\nconv k3 p1 c3\n}res",
 }
@@ -762,6 +787,16 @@ class TestSaveLoad:
                          + struct.pack("<I", 4))
         with pytest.raises(FormatError, match="spec needs 2371586 values"):
             nb.load(path)
+
+    @pytest.mark.parametrize("option", DELETED_VAC_OPTIONS)
+    def test_spec_with_deleted_vac_option_rejected(self, tmp_path, option):
+        # as written when the VAC took the option, which added no parameter
+        net = nb.compile_spec(nb.parse_dsl(TINY), seed=0)
+        net.spec = dataclasses.replace(net.spec, text=TINY.replace("um8", f"um8 {option}"))
+        nb.save(net, tmp_path / "m.acnk")
+        message = DELETED_VAC_OPTIONS[option]
+        with pytest.raises(FormatError, match=f"bad spec: line 3, col 23: {message}$"):
+            nb.load(tmp_path / "m.acnk")
 
     def test_bad_version(self, tmp_path):
         net = nb.compile_spec(nb.parse_dsl(TINY), seed=0)

@@ -195,12 +195,11 @@ class TestTrain:
         with pytest.raises(IntegrityError, match="call forward"):
             net.loss_and_backward(ds.labels[:4])
 
-    def test_loss_finite_guard(self):
+    def test_empty_dataset_raises_config_error(self):
         net = nb.compile_spec(nb.parse_dsl(FC_ONLY), seed=0)
         with pytest.raises(ConfigError):
             train(net, Dataset(np.zeros((0, 1, 4, 4)), np.zeros(0, dtype=int)),
                   TrainConfig())
-
 
     def test_non_finite_activation_is_divergence_at_its_step(self):
         net = nb.compile_spec(nb.parse_dsl("input 1 4 4\nconv k1 c4\nvac dm2 e1:2 e2:2 um4\n"

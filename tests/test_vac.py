@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assert_close_grad, naive_nearest, naive_unpool, numeric_grad
+from oracles import assert_close_grad, naive_unpool, numeric_grad
 from vacnet import kernels as K
 from vacnet.kernels import ConfigError, IntegrityError, ShapeError
 from vacnet.vac import VacConfig, gating_map, vac_backward, vac_forward
 
 
-def make(c_in=16, c_down=4, e1=4, e2=4, pool=(2, 2), ek=3, groups=4, seed=0, **kw):
+def make(c_in=16, c_down=4, e1=4, e2=4, pool=2, ek=3, groups=4, seed=0, **kw):
     cfg = VacConfig(c_in=c_in, c_down=c_down, e1=e1, e2=e2, c_up=c_in,
                     pool=pool, embed_kernel=ek, embed_groups=groups, **kw)
     params = cfg.init_params(np.random.default_rng(seed))
@@ -17,14 +17,9 @@ def make(c_in=16, c_down=4, e1=4, e2=4, pool=(2, 2), ek=3, groups=4, seed=0, **k
 
 
 def expanded_attention(cache, cfg, params):
-    """The full-grid attention map, rebuilt from the cached condensed one as
-    the block's own expansion forms it."""
-    k_sig = cache["k_sig"]
-    if cfg.expand_mode == "unpool":
-        return K.unpool2d_forward(k_sig, cache["pool_idx"],
-                                  gating_map(cache, params).shape)
-    rows, cols = cache["nearest_maps"]
-    return k_sig[:, :, rows[:, None], cols[None, :]]
+    """The full-grid attention map, unpooled from the cached condensed one."""
+    return K.unpool2d_forward(cache["k_sig"], cache["pool_idx"],
+                              gating_map(cache, params).shape)
 
 
 def down_mixed(x, params, cfg):
@@ -43,13 +38,13 @@ class TestConfig:
             VacConfig(c_in=8, c_down=4, e1=4, e2=4, c_up=8, embed_groups=3)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.integers(-1, 4), min_size=7, max_size=7))
+    @given(st.lists(st.integers(-1, 4), min_size=6, max_size=6))
     def test_small_ints_raise_only_config_error(self, ints):
         # e2 and c_up take the one value each may have, so that most draws
         # reach the conv checks
-        c_in, c_down, e1, pk, ps, ek, groups = ints
+        c_in, c_down, e1, pk, ek, groups = ints
         try:
-            VacConfig(c_in, c_down, e1, c_down, c_in, pool=(pk, ps), embed_kernel=ek,
+            VacConfig(c_in, c_down, e1, c_down, c_in, pool=pk, embed_kernel=ek,
                       embed_groups=groups)
         except ConfigError:
             pass
@@ -83,39 +78,29 @@ class TestForward:
         np.testing.assert_array_equal(
             out, np.broadcast_to(params["up_b"][None, :, None, None], out.shape))
 
-    @pytest.mark.parametrize("pool, expand_mode", [
-        ((2, 2), "unpool"),
-        # overlapping windows pick some pixels more than once: unpooling sums
-        # their attention values there, and the gating scales that sum
-        ((3, 1), "unpool"), ((2, 1), "unpool"),
-        ((3, 1), "nearest"), ((2, 1), "nearest"),
-    ])
+    # a 1x1 pool picks every pixel; a 3x3 pool leaves the last two rows and
+    # columns of the 8x8 map unpicked
+    @pytest.mark.parametrize("pool", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(4))
-    def test_compositional_oracle(self, seed, pool, expand_mode):
-        cfg, params = make(seed=seed, pool=pool, expand_mode=expand_mode)
+    def test_compositional_oracle(self, seed, pool):
+        cfg, params = make(seed=seed, pool=pool)
         x = np.random.default_rng(seed + 50).standard_normal((2, 16, 8, 8))
         out, _ = vac_forward(x, params, cfg)
 
         vd = K.conv2d_forward(x, params["down_w"], params["down_b"], cfg.down_spec())
-        pk, ps = pool
-        q, idx = K.maxpool2d_forward(vd, (pk, pk), (ps, ps))
-        assert (np.unique(idx).size < idx.size) == (ps < pk)
+        q, idx = K.maxpool2d_forward(vd, (pool, pool), (pool, pool))
+        assert np.unique(idx).size == idx.size  # windows tile, so no pixel is picked twice
         e = K.relu_forward(K.conv2d_forward(q, params["embed_grouped_w"],
                                             params["embed_grouped_b"],
                                             cfg.embed_grouped_spec()))
         k = K.conv2d_forward(e, params["embed_pointwise_w"], params["embed_pointwise_b"],
                              cfg.embed_pointwise_spec())
-        if expand_mode == "unpool":
-            attn = naive_unpool(K.sigmoid_forward(k), idx, vd.shape)
-        else:
-            attn = naive_nearest(K.sigmoid_forward(k), vd.shape, ps)
+        attn = naive_unpool(K.sigmoid_forward(k), idx, vd.shape)
         gated = vd * attn * params["scale"]
         want = K.conv2d_forward(gated, params["up_w"], params["up_b"], cfg.up_spec())
         np.testing.assert_allclose(out, want, atol=1e-12)
 
-    @pytest.mark.parametrize("kwargs", [
-        {}, {"per_channel_scale": True}, {"pool": (3, 1)},
-        {"expand_mode": "nearest"}, {"expand_mode": "nearest", "pool": (2, 1)}])
+    @pytest.mark.parametrize("kwargs", [{}, {"per_channel_scale": True}, {"pool": 3}])
     def test_up_mix_of_rebuilt_gating_map_is_the_output(self, kwargs):
         # backward rebuilds the up-mix's input from the cache: it must be the
         # map the forward mixed, to the bit
@@ -138,7 +123,7 @@ class TestForward:
             h = int(r.integers(pk, 10))
             w = int(r.integers(pk, 10))
             cfg = VacConfig(c_in=c_in, c_down=c_down, e1=e1, e2=c_down, c_up=c_in,
-                            pool=(pk, pk), embed_kernel=int(r.choice([1, 3])),
+                            pool=pk, embed_kernel=int(r.choice([1, 3])),
                             embed_groups=g)
             params = cfg.init_params(r)
             x = r.standard_normal((1, c_in, h, w))
@@ -179,15 +164,6 @@ class TestForward:
         attn = K.unpool2d_forward(K.sigmoid_forward(k), idx, x.shape)
         np.testing.assert_allclose(out, x * attn * params["scale"], atol=1e-12)
 
-    def test_nearest_expansion_mode(self):
-        cfg, params = make(expand_mode="nearest")
-        x = np.random.default_rng(4).standard_normal((1, 16, 8, 8))
-        out, cache = vac_forward(x, params, cfg)
-        assert out.shape == x.shape
-        # nearest expansion repeats every pooled value across its window
-        attn = expanded_attention(cache, cfg, params)
-        assert (attn > 0).all()
-
     def test_channel_mismatch_rejected(self):
         cfg, params = make()
         with pytest.raises(ShapeError):
@@ -218,12 +194,9 @@ class TestBackward:
     @pytest.mark.parametrize("kwargs", [
         {},
         {"per_channel_scale": True},
-        {"expand_mode": "nearest"},
-        # overlapping windows, whose picks repeat
-        {"pool": (3, 1)},
-        {"pool": (2, 1)},
-        {"pool": (3, 1), "expand_mode": "nearest"},
-        {"pool": (2, 1), "expand_mode": "nearest", "per_channel_scale": True},
+        # one 3x3 window on the 5x5 map, which leaves pixels outside every window
+        {"pool": 3},
+        {"pool": 3, "per_channel_scale": True},
     ])
     def test_finite_differences(self, kwargs):
         cfg, params = make(c_in=6, c_down=3, e1=3, e2=3, groups=3, seed=7, **kwargs)
@@ -242,11 +215,10 @@ class TestBackward:
 
     @pytest.mark.parametrize("c_down", [1, 3])
     @pytest.mark.parametrize("per_channel_scale", [False, True])
-    @pytest.mark.parametrize("expand_mode", ["unpool", "nearest"])
-    def test_gradients_shaped_like_parameters(self, c_down, per_channel_scale, expand_mode):
+    def test_gradients_shaped_like_parameters(self, c_down, per_channel_scale):
         # a per-channel scale over one channel has one element but keeps shape (1,)
         cfg, params = make(c_in=6, c_down=c_down, e1=3, e2=c_down, groups=1, seed=8,
-                           per_channel_scale=per_channel_scale, expand_mode=expand_mode)
+                           per_channel_scale=per_channel_scale)
         x = np.random.default_rng(80).standard_normal((2, 6, 5, 5))
         _, cache = vac_forward(x, params, cfg)
         _, gp = vac_backward(np.ones(x.shape), cache, params, cfg)
