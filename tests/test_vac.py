@@ -100,7 +100,10 @@ class TestForward:
         want = K.conv2d_forward(gated, params["up_w"], params["up_b"], cfg.up_spec())
         np.testing.assert_allclose(out, want, atol=1e-12)
 
-    @pytest.mark.parametrize("kwargs", [{}, {"per_channel_scale": True}, {"pool": 3}])
+    # pool 1 keeps the full grid; pool 8 condenses the 8x8 map to one pixel
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"per_channel_scale": True}, {"pool": 1}, {"pool": 3},
+        {"pool": 3, "per_channel_scale": True}, {"pool": 8}])
     def test_up_mix_of_rebuilt_gating_map_is_the_output(self, kwargs):
         # backward rebuilds the up-mix's input from the cache: it must be the
         # map the forward mixed, to the bit
@@ -197,6 +200,10 @@ class TestBackward:
         # one 3x3 window on the 5x5 map, which leaves pixels outside every window
         {"pool": 3},
         {"pool": 3, "per_channel_scale": True},
+        # every pixel its own window
+        {"pool": 1},
+        # one window over the whole map, so the embedding sees one pixel
+        {"pool": 5},
     ])
     def test_finite_differences(self, kwargs):
         cfg, params = make(c_in=6, c_down=3, e1=3, e2=3, groups=3, seed=7, **kwargs)
@@ -213,12 +220,13 @@ class TestBackward:
         for (name, analytic), (_, arr) in zip(gp.items(), params.items()):
             assert_close_grad(analytic, numeric_grad(loss, arr), 1e-5)
 
+    @pytest.mark.parametrize("pool", [2, 3])
     @pytest.mark.parametrize("c_down", [1, 3])
     @pytest.mark.parametrize("per_channel_scale", [False, True])
-    def test_gradients_shaped_like_parameters(self, c_down, per_channel_scale):
+    def test_gradients_shaped_like_parameters(self, c_down, per_channel_scale, pool):
         # a per-channel scale over one channel has one element but keeps shape (1,)
         cfg, params = make(c_in=6, c_down=c_down, e1=3, e2=c_down, groups=1, seed=8,
-                           per_channel_scale=per_channel_scale)
+                           per_channel_scale=per_channel_scale, pool=pool)
         x = np.random.default_rng(80).standard_normal((2, 6, 5, 5))
         _, cache = vac_forward(x, params, cfg)
         _, gp = vac_backward(np.ones(x.shape), cache, params, cfg)
