@@ -25,8 +25,11 @@ automatically: every layer reads its input channels from its predecessor.
 
 from __future__ import annotations
 
+import os
 import re
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +41,17 @@ from .vac import VacConfig, vac_backward, vac_forward  # noqa: F401
 
 MAGIC = b"ACNK"
 FORMAT_VERSION = 1
-# Images per pass of Network.predict. A micro-a chunk's transients (im2col
-# patches, conv, ReLU and pool outputs) peak at 1.7 MiB, inside a 2 MiB L2
-# cache, and are reused from the heap instead of being mapped afresh.
+# Images per pass of Network.predict, and its unit of parallel work. A
+# micro-a chunk's transients (im2col patches, conv, ReLU and pool outputs)
+# peak at 1.7 MiB, inside a 2 MiB L2 cache, and are reused from the heap
+# instead of being mapped afresh.
 PREDICT_CHUNK = 32
+# Threads that share a multi-chunk Network.predict: the calling thread plus
+# one helper per further CPU in the process's affinity mask at import, so
+# taskset or a cpuset is the only control. Each thread holds its own chunk's
+# transients.
+PREDICT_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
 
 
 class ParseError(ValueError):
@@ -414,6 +424,71 @@ def _compile_layer(layer, rng):
     return (ResidualBlock if layer.kind == "res" else Block)(layer, rng)
 
 
+# The helper threads of Network.predict, shared by every network in the process.
+
+_helpers = None  # (size, ThreadPoolExecutor), made by the first multi-chunk predict
+_helpers_lock = threading.Lock()
+
+
+def _helper_pool():
+    """The process's PREDICT_THREADS - 1 helper threads, made on first use
+    and made again only if PREDICT_THREADS has changed since."""
+    global _helpers
+    size = PREDICT_THREADS - 1
+    with _helpers_lock:
+        if _helpers is None or _helpers[0] != size:
+            if _helpers is not None:
+                _helpers[1].shutdown(wait=False)
+            _helpers = size, ThreadPoolExecutor(size, thread_name_prefix="vacnet-predict")
+        return _helpers[1]
+
+
+def _drop_helpers():
+    """A forked child has only the thread that forked: forget the parent's
+    helpers, whose threads it lacks, so that its first predict makes its own."""
+    global _helpers, _helpers_lock
+    _helpers, _helpers_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_helpers)
+
+
+def _map_chunks(run, chunks):
+    """``[run(c) for c in chunks]``. With more than one chunk and more than
+    one thread, the calling thread and up to ``len(chunks) - 1`` pool
+    helpers each take the next unclaimed chunk until none is left. It
+    returns or raises only once every helper has stopped; if chunks fail,
+    the lowest failing one's error is raised, whatever the threads' timing."""
+    n_helpers = min(PREDICT_THREADS, len(chunks)) - 1
+    if n_helpers < 1:
+        return [run(c) for c in chunks]
+    results, errors = [None] * len(chunks), {}
+    unclaimed = iter(range(len(chunks)))
+    lock = threading.Lock()
+
+    def take_chunks():
+        while True:
+            with lock:
+                i = next(unclaimed, None)
+            if i is None:
+                return
+            try:
+                results[i] = run(chunks[i])
+            except Exception as e:  # raised in chunk order by the caller, below
+                errors[i] = e
+
+    pool = _helper_pool()
+    helpers = [pool.submit(take_chunks) for _ in range(n_helpers)]
+    try:
+        take_chunks()
+    finally:
+        wait(helpers)
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 class Network:
     """Compiled network: ordered blocks with allocated parameters. ``blobs``
     maps the name of each int8 weight to its QuantizedBlob, whose dequantized
@@ -451,13 +526,17 @@ class Network:
 
         The batch shape is checked once; then at most ``PREDICT_CHUNK``
         images at a time are cast and run through the blocks, so that each
-        transient is a chunk's size, not the batch's. No block
-        mixes images, and ``fc`` forms each row on its own, so an image's
-        probabilities do not depend on the batch or chunk it shares."""
+        transient is a chunk's size, not the batch's. A batch of more than
+        one chunk is shared by this thread and ``PREDICT_THREADS - 1``
+        helper threads, each running whole chunks; a one-chunk batch, or
+        any batch when ``PREDICT_THREADS`` is 1, runs on this thread alone.
+        No block mixes images, and ``fc`` forms each row on its own, so an
+        image's probabilities do not depend on the batch, chunk or thread
+        it shares. If chunks fail, the lowest one's error is raised."""
         x = self._checked(np.asarray(x))
-        return np.concatenate([
-            self._run(np.asarray(x[i:i + PREDICT_CHUNK], dtype=np.float32), "predict")
-            for i in range(0, len(x), PREDICT_CHUNK)])
+        chunks = [x[i:i + PREDICT_CHUNK] for i in range(0, len(x), PREDICT_CHUNK)]
+        return np.concatenate(_map_chunks(
+            lambda c: self._run(np.asarray(c, dtype=np.float32), "predict"), chunks))
 
     def _checked(self, x):
         c, h, w = self.spec.input_shape

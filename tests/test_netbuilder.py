@@ -1,7 +1,12 @@
 import dataclasses
 import math
+import multiprocessing
+import queue
 import re
 import struct
+import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -663,9 +668,12 @@ class TestPredict:
             assert x_dtype == f32 and p_dtypes <= {f32}, kind
             assert out_dtype == (np.float64 if kind == "softmax" else f32), kind
 
-    # row 40 of 70 lies in the second PREDICT_CHUNK, after a clean first one
-    @pytest.mark.parametrize("n, row", [(1, 0), (70, 40)])
-    def test_non_finite_input_names_block(self, n, row):
+    # row 40 of 70 lies in the second PREDICT_CHUNK, after a clean first
+    # one, and row 69 in the last
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("n, row", [(1, 0), (70, 40), (70, 69)])
+    def test_non_finite_input_names_block(self, n, row, threads, monkeypatch):
+        monkeypatch.setattr(nb, "PREDICT_THREADS", threads)
         net = nb.compile_spec(nb.parse_dsl(TINY), seed=0)
         x = np.zeros((n, 1, 28, 28))
         x[row, 0, 3, 3] = np.nan
@@ -710,8 +718,10 @@ class TestPredict:
             net = quant.quantize_weights(net)
         assert_batch_invariant(net, n)
 
-    def test_int8_batch_256_peaks_at_a_chunk(self):
-        # run whole, this batch peaked at 13.05 MiB of float32 transients
+    def test_int8_batch_256_peaks_at_a_chunk(self, monkeypatch):
+        # run whole, this batch peaked at 13.05 MiB of float32 transients; two
+        # threads hold two chunks' at once, and more threads would hold more
+        monkeypatch.setattr(nb, "PREDICT_THREADS", 2)
         spec = nb.reference_spec("attendnet-micro-a")
         net = quant.quantize_weights(nb.compile_spec(spec))
         x = np.random.default_rng(0).random((256, *spec.input_shape))
@@ -724,8 +734,9 @@ class TestPredict:
             tracemalloc.stop()
         assert peak <= 4 * 2**20, f"{peak / 2**20:.2f} MiB peak"
 
-    def test_int8_batch_256_keeps_no_cache(self):
+    def test_int8_batch_256_keeps_no_cache(self, monkeypatch):
         # the float64 forward, which keeps every cache, peaks at 75 MiB here
+        monkeypatch.setattr(nb, "PREDICT_THREADS", 2)
         spec = nb.reference_spec("attendnet-micro-a")
         net = quant.quantize_weights(nb.compile_spec(spec))
         x = np.random.default_rng(0).random((256, *spec.input_shape))
@@ -739,6 +750,103 @@ class TestPredict:
         assert peak <= 20 * 2**20, f"{peak / 2**20:.2f} MiB peak"
         # numpy's own small-object caches may keep about 1 KiB
         assert left <= 2**16, f"{left} bytes left by predict"
+
+
+def _predict_into(results, net, x):
+    results.put(net.predict(x).tobytes())
+
+
+class TestSharedPredict:
+    """A multi-chunk predict shared by the calling thread and pool helpers
+    gives the bits of one thread, and fails as one thread would."""
+
+    @pytest.mark.parametrize("int8", [False, True])
+    @pytest.mark.parametrize("name", sorted(nb.REFERENCE_SPECS))
+    def test_bytes_equal_at_any_thread_count(self, name, int8, monkeypatch):
+        net = nb.compile_spec(nb.reference_spec(name))
+        if int8:
+            net = quant.quantize_weights(net)
+        for n in (1, 31, 32, 33, 256):
+            x = np.random.default_rng(n).random((n, *net.spec.input_shape))
+            monkeypatch.setattr(nb, "PREDICT_THREADS", 1)
+            want = net.predict(x).tobytes()
+            for threads in (2, 3):
+                monkeypatch.setattr(nb, "PREDICT_THREADS", threads)
+                assert net.predict(x).tobytes() == want, (n, threads)
+
+    def test_concurrent_callers_match_serial(self, monkeypatch):
+        net = quant.quantize_weights(nb.compile_spec(nb.reference_spec("attendnet-micro-a")))
+        xs = [np.random.default_rng(s).random((100, 1, 28, 28)) for s in (1, 2)]
+        monkeypatch.setattr(nb, "PREDICT_THREADS", 1)
+        want = [net.predict(x).tobytes() for x in xs]
+        monkeypatch.setattr(nb, "PREDICT_THREADS", 3)  # more threads than a 2-CPU host has
+        got = [[], []]
+
+        def call(k):
+            for _ in range(5):
+                got[k].append(net.predict(xs[k]).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(k,)) for k in (0, 1)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == [[want[0]] * 5, [want[1]] * 5]
+
+    def test_lowest_failing_chunk_raises_after_every_helper_stops(self, monkeypatch):
+        # chunks 1 and 6 of 8 fail; chunk 1 fails last in time, while the
+        # other threads are still inside chunks of their own
+        net = nb.compile_spec(nb.parse_dsl(TINY), seed=0)
+        x = np.zeros((256, 1, 28, 28))
+        x[:, 0, 0, 0] = np.arange(256) // nb.PREDICT_CHUNK  # each image's chunk
+        active, lock, run = [0], threading.Lock(), nb.conv_forward
+
+        def spy(xc, p, layer):
+            chunk = int(xc[0, 0, 0, 0])
+            with lock:
+                active[0] += 1
+            try:
+                time.sleep(0.2 if chunk == 1 else 0.02)
+                if chunk in (1, 6):
+                    raise NonFiniteError(f"chunk {chunk}")
+                return run(xc, p, layer)
+            finally:
+                with lock:
+                    active[0] -= 1
+
+        monkeypatch.setattr(nb, "conv_forward", spy)
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(nb, "PREDICT_THREADS", threads)
+            with pytest.raises(NonFiniteError, match=r"^block 0 \(conv\): chunk 1$"):
+                net.predict(x)
+            assert active[0] == 0, threads
+
+    def test_forked_child_makes_its_own_helpers(self, monkeypatch):
+        monkeypatch.setattr(nb, "PREDICT_THREADS", 2)
+        net = quant.quantize_weights(nb.compile_spec(nb.reference_spec("attendnet-micro-a")))
+        x = np.random.default_rng(0).random((70, 1, 28, 28))
+        want = net.predict(x).tobytes()  # the parent's helper is running now
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(target=_predict_into, args=(results, net, x))
+        child.start()
+        try:
+            got = results.get(timeout=60)
+        except queue.Empty:
+            got = None
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert got == want
+        assert child.exitcode == 0
 
 
 class TestSaveLoad:
