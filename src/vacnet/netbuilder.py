@@ -29,7 +29,6 @@ import os
 import re
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,12 +45,27 @@ FORMAT_VERSION = 1
 # peak at 1.7 MiB, inside a 2 MiB L2 cache, and are reused from the heap
 # instead of being mapped afresh.
 PREDICT_CHUNK = 32
-# Threads that share a multi-chunk Network.predict: the calling thread plus
-# one helper per further CPU in the process's affinity mask at import, so
-# taskset or a cpuset is the only control. Each thread holds its own chunk's
-# transients.
-PREDICT_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
+
+
+def _predict_threads():
+    """Threads that share a multi-chunk Network.predict: 2, the calling
+    thread and one helper, when the process's affinity mask holds a second
+    CPU and the BLAS pool was pinned to one thread; else 1. The BLAS pool's
+    size is read as OpenBLAS reads it when it loads: the first of its thread
+    variables that holds a positive count, else one thread per CPU. Beside a
+    threaded BLAS, which already spreads the larger products over the CPUs,
+    a helper made micro-b passes slower. Two is the only count whose speed
+    and memory were measured; each thread holds its own chunk's transients."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return 2 if cpus > 1 and int(value) == 1 else 1
+    return 1  # a BLAS thread per CPU
+
+
+PREDICT_THREADS = _predict_threads()  # read once, at import
 
 
 class ParseError(ValueError):
@@ -426,21 +440,21 @@ def _compile_layer(layer, rng):
 
 # The helper threads of Network.predict, shared by every network in the process.
 
-_helpers = None  # (size, ThreadPoolExecutor), made by the first multi-chunk predict
+_helpers = None  # ThreadPoolExecutor, made by the first multi-chunk predict
 _helpers_lock = threading.Lock()
 
 
 def _helper_pool():
-    """The process's PREDICT_THREADS - 1 helper threads, made on first use
-    and made again only if PREDICT_THREADS has changed since."""
+    """The process's PREDICT_THREADS - 1 helper threads, made on first use."""
     global _helpers
-    size = PREDICT_THREADS - 1
+    # imported here, so that a process which never shares a batch does not
+    # load concurrent.futures and logging (about 4 ms of `import vacnet`)
+    from concurrent.futures import ThreadPoolExecutor
     with _helpers_lock:
-        if _helpers is None or _helpers[0] != size:
-            if _helpers is not None:
-                _helpers[1].shutdown(wait=False)
-            _helpers = size, ThreadPoolExecutor(size, thread_name_prefix="vacnet-predict")
-        return _helpers[1]
+        if _helpers is None:
+            _helpers = ThreadPoolExecutor(PREDICT_THREADS - 1,
+                                          thread_name_prefix="vacnet-predict")
+        return _helpers
 
 
 def _drop_helpers():
@@ -459,31 +473,39 @@ def _map_chunks(run, chunks):
     one thread, the calling thread and up to ``len(chunks) - 1`` pool
     helpers each take the next unclaimed chunk until none is left. It
     returns or raises only once every helper has stopped; if chunks fail,
-    the lowest failing one's error is raised, whatever the threads' timing."""
+    the lowest failing one's error is raised, whatever the threads' timing.
+    A failure, or an interrupt of the calling thread, stops all claiming:
+    chunks are claimed in index order, so every chunk below the failing one
+    is already running and still finishes."""
     n_helpers = min(PREDICT_THREADS, len(chunks)) - 1
     if n_helpers < 1:
         return [run(c) for c in chunks]
     results, errors = [None] * len(chunks), {}
     unclaimed = iter(range(len(chunks)))
-    lock = threading.Lock()
+    lock, stop = threading.Lock(), threading.Event()
 
     def take_chunks():
         while True:
             with lock:
-                i = next(unclaimed, None)
+                i = None if stop.is_set() else next(unclaimed, None)
             if i is None:
                 return
             try:
                 results[i] = run(chunks[i])
             except Exception as e:  # raised in chunk order by the caller, below
                 errors[i] = e
+                stop.set()
 
     pool = _helper_pool()
     helpers = [pool.submit(take_chunks) for _ in range(n_helpers)]
     try:
         take_chunks()
+    except BaseException:  # a KeyboardInterrupt in this thread
+        stop.set()
+        raise
     finally:
-        wait(helpers)
+        for h in helpers:
+            h.exception()  # waits until the helper stops; take_chunks keeps its errors
     if errors:
         raise errors[min(errors)]
     return results
@@ -528,8 +550,9 @@ class Network:
         images at a time are cast and run through the blocks, so that each
         transient is a chunk's size, not the batch's. A batch of more than
         one chunk is shared by this thread and ``PREDICT_THREADS - 1``
-        helper threads, each running whole chunks; a one-chunk batch, or
-        any batch when ``PREDICT_THREADS`` is 1, runs on this thread alone.
+        helper threads (at most one, see ``_predict_threads``), each running
+        whole chunks; a one-chunk batch, or any batch when
+        ``PREDICT_THREADS`` is 1, runs on this thread alone.
         No block mixes images, and ``fc`` forms each row on its own, so an
         image's probabilities do not depend on the batch, chunk or thread
         it shares. If chunks fail, the lowest one's error is raised."""

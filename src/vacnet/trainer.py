@@ -193,11 +193,11 @@ def _train_epochs(net, dataset, config):
 def evaluate(net, dataset, batch_size=256):
     """Top-1 accuracy (argmax ties -> lowest class index) and mean loss, from
     ``net.predict``, which runs each batch in chunks of ``PREDICT_CHUNK``
-    images, shared by this thread and one helper thread per further CPU the
-    process may use. An image's probabilities do not depend on which batch,
-    chunk or thread holds it, and the per-image losses are summed exactly
-    (``math.fsum``), so the mean does not depend on the order of the
-    images."""
+    images, shared by this thread and a helper thread when a second CPU and
+    a one-thread BLAS allow it (``netbuilder.PREDICT_THREADS``). An image's
+    probabilities do not depend on which batch, chunk or thread holds it,
+    and the per-image losses are summed exactly (``math.fsum``), so the
+    mean does not depend on the order of the images."""
     _check_dataset(net, dataset, "evaluate")
     correct = 0
     losses = []

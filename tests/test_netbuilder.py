@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import multiprocessing
+import os
 import queue
 import re
 import struct
@@ -8,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +44,15 @@ DELETED_VAC_OPTIONS = {
     "ps1": "cannot parse option 'ps1'",
     "ps:2": "unknown option 'ps'",
 }
+
+
+
+def use_threads(monkeypatch, n):
+    """Share multi-chunk predicts among n threads: the caller and a fresh
+    pool of n - 1 helpers, as the first multi-chunk predict would make it."""
+    monkeypatch.setattr(nb, "PREDICT_THREADS", n)
+    monkeypatch.setattr(nb, "_helpers", ThreadPoolExecutor(n - 1) if n > 1 else None)
+
 
 RES = """\
 input 2 8 8
@@ -673,7 +684,7 @@ class TestPredict:
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("n, row", [(1, 0), (70, 40), (70, 69)])
     def test_non_finite_input_names_block(self, n, row, threads, monkeypatch):
-        monkeypatch.setattr(nb, "PREDICT_THREADS", threads)
+        use_threads(monkeypatch, threads)
         net = nb.compile_spec(nb.parse_dsl(TINY), seed=0)
         x = np.zeros((n, 1, 28, 28))
         x[row, 0, 3, 3] = np.nan
@@ -718,10 +729,12 @@ class TestPredict:
             net = quant.quantize_weights(net)
         assert_batch_invariant(net, n)
 
-    def test_int8_batch_256_peaks_at_a_chunk(self, monkeypatch):
+    # 1 and 2 are every thread count _predict_threads chooses
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_int8_batch_256_peaks_at_a_chunk(self, threads, monkeypatch):
         # run whole, this batch peaked at 13.05 MiB of float32 transients; two
-        # threads hold two chunks' at once, and more threads would hold more
-        monkeypatch.setattr(nb, "PREDICT_THREADS", 2)
+        # threads hold two chunks' at once
+        use_threads(monkeypatch, threads)
         spec = nb.reference_spec("attendnet-micro-a")
         net = quant.quantize_weights(nb.compile_spec(spec))
         x = np.random.default_rng(0).random((256, *spec.input_shape))
@@ -734,9 +747,10 @@ class TestPredict:
             tracemalloc.stop()
         assert peak <= 4 * 2**20, f"{peak / 2**20:.2f} MiB peak"
 
-    def test_int8_batch_256_keeps_no_cache(self, monkeypatch):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_int8_batch_256_keeps_no_cache(self, threads, monkeypatch):
         # the float64 forward, which keeps every cache, peaks at 75 MiB here
-        monkeypatch.setattr(nb, "PREDICT_THREADS", 2)
+        use_threads(monkeypatch, threads)
         spec = nb.reference_spec("attendnet-micro-a")
         net = quant.quantize_weights(nb.compile_spec(spec))
         x = np.random.default_rng(0).random((256, *spec.input_shape))
@@ -760,6 +774,23 @@ class TestSharedPredict:
     """A multi-chunk predict shared by the calling thread and pool helpers
     gives the bits of one thread, and fails as one thread would."""
 
+    @pytest.mark.parametrize("cpus, env, want", [
+        (2, {}, 1),  # a BLAS thread per CPU
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+        (8, {"OMP_NUM_THREADS": "1"}, 2),  # never more than one helper
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, 2),
+    ])
+    def test_thread_count_follows_cpus_and_blas_pin(self, cpus, env, want, monkeypatch):
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert nb._predict_threads() == want
+
     @pytest.mark.parametrize("int8", [False, True])
     @pytest.mark.parametrize("name", sorted(nb.REFERENCE_SPECS))
     def test_bytes_equal_at_any_thread_count(self, name, int8, monkeypatch):
@@ -768,18 +799,18 @@ class TestSharedPredict:
             net = quant.quantize_weights(net)
         for n in (1, 31, 32, 33, 256):
             x = np.random.default_rng(n).random((n, *net.spec.input_shape))
-            monkeypatch.setattr(nb, "PREDICT_THREADS", 1)
+            use_threads(monkeypatch, 1)
             want = net.predict(x).tobytes()
             for threads in (2, 3):
-                monkeypatch.setattr(nb, "PREDICT_THREADS", threads)
+                use_threads(monkeypatch, threads)
                 assert net.predict(x).tobytes() == want, (n, threads)
 
     def test_concurrent_callers_match_serial(self, monkeypatch):
         net = quant.quantize_weights(nb.compile_spec(nb.reference_spec("attendnet-micro-a")))
         xs = [np.random.default_rng(s).random((100, 1, 28, 28)) for s in (1, 2)]
-        monkeypatch.setattr(nb, "PREDICT_THREADS", 1)
+        use_threads(monkeypatch, 1)
         want = [net.predict(x).tobytes() for x in xs]
-        monkeypatch.setattr(nb, "PREDICT_THREADS", 3)  # more threads than a 2-CPU host has
+        use_threads(monkeypatch, 3)
         got = [[], []]
 
         def call(k):
@@ -822,13 +853,33 @@ class TestSharedPredict:
 
         monkeypatch.setattr(nb, "conv_forward", spy)
         for threads in (1, 2, 3):
-            monkeypatch.setattr(nb, "PREDICT_THREADS", threads)
+            use_threads(monkeypatch, threads)
             with pytest.raises(NonFiniteError, match=r"^block 0 \(conv\): chunk 1$"):
                 net.predict(x)
             assert active[0] == 0, threads
 
+    @pytest.mark.parametrize("interrupt", [False, True])
+    def test_no_chunk_is_claimed_after_a_failure(self, interrupt, monkeypatch):
+        # chunk 1 fails at once, or the calling thread is interrupted in
+        # its first chunk; each other chunk takes 5 ms, so 40 of them would
+        # run to the end if claiming went on
+        started, error = [], KeyboardInterrupt if interrupt else NonFiniteError
+
+        def run(i):
+            started.append(i)
+            on_caller = threading.current_thread() is threading.main_thread()
+            if on_caller if interrupt else i == 1:
+                raise error("stop")
+            time.sleep(0.005)
+            return i
+
+        use_threads(monkeypatch, 3)
+        with pytest.raises(error):
+            nb._map_chunks(run, range(40))
+        assert len(started) < 10, sorted(started)
+
     def test_forked_child_makes_its_own_helpers(self, monkeypatch):
-        monkeypatch.setattr(nb, "PREDICT_THREADS", 2)
+        use_threads(monkeypatch, 2)
         net = quant.quantize_weights(nb.compile_spec(nb.reference_spec("attendnet-micro-a")))
         x = np.random.default_rng(0).random((70, 1, 28, 28))
         want = net.predict(x).tobytes()  # the parent's helper is running now
