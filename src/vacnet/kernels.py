@@ -454,9 +454,11 @@ def cross_entropy(probs, labels):
     return float(nll(probs, labels).mean())
 
 
-def softmax_xent_backward(probs, labels):
-    """Gradient of mean cross-entropy wrt (n, k) logits: (probs - one_hot) / n."""
+def softmax_xent_backward(probs, labels, batch=None):
+    """Gradient of mean cross-entropy wrt (n, k) logits: (probs - one_hot) /
+    batch, where ``batch`` (default n) is the size of the batch whose mean
+    loss these rows share."""
     p = np.array(probs, dtype=np.float64)
     p[np.arange(p.shape[0]), labels] -= 1.0
-    return p / p.shape[0]
+    return p / (batch or p.shape[0])
 

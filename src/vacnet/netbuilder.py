@@ -25,6 +25,7 @@ automatically: every layer reads its input channels from its predecessor.
 
 from __future__ import annotations
 
+import copy
 import os
 import re
 import struct
@@ -48,14 +49,15 @@ PREDICT_CHUNK = 32
 
 
 def _predict_threads():
-    """Threads that share a multi-chunk Network.predict: 2, the calling
-    thread and one helper, when the process's affinity mask holds a second
-    CPU and the BLAS pool was pinned to one thread; else 1. The BLAS pool's
-    size is read as OpenBLAS reads it when it loads: the first of its thread
-    variables that holds a positive count, else one thread per CPU. Beside a
-    threaded BLAS, which already spreads the larger products over the CPUs,
-    a helper made micro-b passes slower. Two is the only count whose speed
-    and memory were measured; each thread holds its own chunk's transients."""
+    """Threads that share a multi-chunk Network.predict, and the two
+    sub-batches of a ``trainer.train`` step: 2, the calling thread and one
+    helper, when the process's affinity mask holds a second CPU and the BLAS
+    pool was pinned to one thread; else 1. The BLAS pool's size is read as
+    OpenBLAS reads it when it loads: the first of its thread variables that
+    holds a positive count, else one thread per CPU. Beside a threaded BLAS,
+    which already spreads the larger products over the CPUs, a helper made
+    micro-b passes slower. Two is the only count whose speed and memory were
+    measured; each thread holds its own chunk's or sub-batch's transients."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
@@ -65,7 +67,7 @@ def _predict_threads():
     return 1  # a BLAS thread per CPU
 
 
-PREDICT_THREADS = _predict_threads()  # read once, at import
+PREDICT_THREADS = _predict_threads()  # read once, at import; train shares it
 
 
 class ParseError(ValueError):
@@ -382,6 +384,13 @@ class Block:
     def clear_forward_state(self):
         self._cache = None
 
+    def replica(self):
+        """A copy whose ``p`` is this block's (the same arrays), with its own
+        cache and gradients, so that another thread can run it."""
+        r = copy.copy(self)
+        r._cache, r.grads = None, {}
+        return r
+
 
 class ResidualBlock:
     """The body's blocks plus the identity shortcut; ``p`` and ``grads`` hold
@@ -407,6 +416,11 @@ class ResidualBlock:
     def clear_forward_state(self):
         for c in self.children:
             c.clear_forward_state()
+
+    def replica(self):
+        r = copy.copy(self)
+        r.children, r.grads = [c.replica() for c in self.children], {}
+        return r
 
 
 def _chain(blocks, method, x):
@@ -438,9 +452,10 @@ def _compile_layer(layer, rng):
     return (ResidualBlock if layer.kind == "res" else Block)(layer, rng)
 
 
-# The helper threads of Network.predict, shared by every network in the process.
+# The helper threads of Network.predict and trainer.train, shared by every
+# network in the process.
 
-_helpers = None  # ThreadPoolExecutor, made by the first multi-chunk predict
+_helpers = None  # ThreadPoolExecutor, made by the first shared predict or train step
 _helpers_lock = threading.Lock()
 
 
@@ -466,6 +481,19 @@ def _drop_helpers():
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_helpers)
+
+
+def _trim_heaps():
+    """Hand the free pages of every malloc arena back to the OS, where glibc's
+    ``malloc_trim`` exists. A helper thread allocates from an arena of its
+    own, whose freed memory the calling thread never reuses: after a
+    micro-b training run it held 13-15 MiB, which stayed resident beside
+    everything the caller allocated next."""
+    import ctypes
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (AttributeError, OSError, TypeError):  # no glibc
+        pass
 
 
 def _map_chunks(run, chunks):
@@ -573,14 +601,16 @@ class Network:
         K.check_finite(x, "network output")
         return x
 
-    def loss_and_backward(self, labels):
+    def loss_and_backward(self, labels, batch=None):
         """Mean cross-entropy of the last forward batch, populating block
         grads. Nothing reads the network's input gradient, so the first
-        block forms none."""
+        block forms none. Given ``batch``, the forward's images are part of
+        a batch of that many, and the grads are those of their summed loss
+        over ``batch``: the sub-batches' grads add up to the whole batch's."""
         if self._probs is None:
             raise K.IntegrityError("call forward before loss_and_backward")
         loss = K.cross_entropy(self._probs, labels)
-        grad = K.softmax_xent_backward(self._probs, labels)
+        grad = K.softmax_xent_backward(self._probs, labels, batch)
         _backward(self.blocks[:-1], grad, False)  # softmax gradient is fused above
         return loss
 
@@ -591,6 +621,13 @@ class Network:
         self._probs = None
         for b in self.blocks:
             b.clear_forward_state()
+
+    def replica(self):
+        """A network on this one's parameter arrays whose blocks keep their
+        own caches and gradients, so that two threads can train at once."""
+        r = copy.copy(self)
+        r.blocks, r._probs = [b.replica() for b in self.blocks], None
+        return r
 
 
 def compile_spec(spec, seed=0):

@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels as K
+from . import netbuilder
 from .kernels import ConfigError, NonFiniteError, nll
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -149,21 +151,54 @@ def train(net, dataset, config):
     """Minibatch SGD with momentum. Deterministic given config.seed.
 
     Each epoch visits the images in a fresh permutation from numpy's PCG64
-    generator seeded with config.seed, so runs reproduce bitwise. The
-    network's int8 blobs are dropped, since training moves the weights away
-    from them. The network comes back, also from a failed run, holding no
-    forward state: its last step's caches describe weights that have since
-    moved.
+    generator seeded with config.seed, so runs reproduce bitwise. A batch of
+    n >= 2 images runs as two sub-batches, its first ceil(n/2) images and
+    its last floor(n/2), each forward and backward on its own replica: the
+    network itself and one ``Network.replica``. They are shared by this
+    thread and ``predict``'s helper, by ``predict``'s rule
+    (``netbuilder.PREDICT_THREADS``). The split depends only on n, and the
+    sub-batch gradients are summed in sub-batch order, so the trained bits
+    do not depend on the thread count. The network's int8 blobs are
+    dropped, since training moves the weights away from them. The network
+    and its replica end, also after a failed run, holding no forward state:
+    the last step's caches describe weights that have since moved.
     """
     _check_dataset(net, dataset, "train on")
     net.blobs.clear()
+    replicas = [net, net.replica()]  # one per sub-batch
     try:
-        return _train_epochs(net, dataset, config)
+        return _train_epochs(replicas, dataset, config)
     finally:
-        net.clear_forward_state()
+        for r in replicas:
+            r.clear_forward_state()
+        if netbuilder.PREDICT_THREADS > 1:
+            netbuilder._trim_heaps()
 
 
-def _train_epochs(net, dataset, config):
+def _batch_gradients(replicas, x, labels):
+    """The batch's probabilities, with the gradients of its mean loss left in
+    ``replicas[0]``: each sub-batch's loss gradient divides by the whole n,
+    and the second sub-batch's gradients are added to the first's. If
+    sub-batches fail, the first failing one's error is raised."""
+    n, half = len(x), (len(x) + 1) // 2
+    parts = [(r, slice(lo, hi)) for r, lo, hi in zip(replicas, (0, half), (half, n))
+             if lo < hi]
+
+    def run(part):
+        r, rows = part
+        probs = r.forward(x[rows])
+        r.loss_and_backward(labels[rows], n)
+        return probs
+
+    probs = np.concatenate(netbuilder._map_chunks(run, parts))
+    if len(parts) == 2:
+        for (_, g0), (_, g1) in zip(*(r.gradients() for r in replicas)):
+            g0 += g1
+    return probs
+
+
+def _train_epochs(replicas, dataset, config):
+    net = replicas[0]
     rng = np.random.Generator(np.random.PCG64(config.seed))
     velocities = {name: np.zeros_like(arr) for name, arr in net.parameters()}
     report = TrainReport()
@@ -174,16 +209,17 @@ def _train_epochs(net, dataset, config):
         correct = 0
         for start in range(0, len(dataset), config.batch_size):
             idx = order[start:start + config.batch_size]
+            labels = dataset.labels[idx]
             try:
-                probs = net.forward(dataset.images[idx])
+                probs = _batch_gradients(replicas, dataset.images[idx], labels)
             except NonFiniteError as e:
                 raise DivergenceError(step, e) from e
-            loss = net.loss_and_backward(dataset.labels[idx])
+            loss = K.cross_entropy(probs, labels)
             if not np.isfinite(loss):
                 raise DivergenceError(step, f"non-finite loss {loss}")
             _sgd_step(net, velocities, config.lr, config.momentum)
             losses.append(loss * len(idx))
-            correct += int((probs.argmax(axis=1) == dataset.labels[idx]).sum())
+            correct += int((probs.argmax(axis=1) == labels).sum())
             step += 1
         report.epochs.append((epoch, sum(losses) / len(dataset),
                               correct / len(dataset)))
@@ -194,7 +230,8 @@ def evaluate(net, dataset, batch_size=256):
     """Top-1 accuracy (argmax ties -> lowest class index) and mean loss, from
     ``net.predict``, which runs each batch in chunks of ``PREDICT_CHUNK``
     images, shared by this thread and a helper thread when a second CPU and
-    a one-thread BLAS allow it (``netbuilder.PREDICT_THREADS``). An image's
+    a one-thread BLAS allow it (``netbuilder.PREDICT_THREADS``, the rule
+    ``train``'s sub-batches share). An image's
     probabilities do not depend on which batch, chunk or thread holds it,
     and the per-image losses are summed exactly (``math.fsum``), so the
     mean does not depend on the order of the images."""

@@ -1,10 +1,14 @@
 import math
 import struct
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from test_netbuilder import use_threads
+from vacnet import kernels as K
 from vacnet import netbuilder as nb
 from vacnet import trainer
 from vacnet.kernels import ConfigError, IntegrityError
@@ -16,6 +20,18 @@ input 1 4 4
 conv k1 c4
 gap
 fc 2
+softmax
+"""
+
+RES_SPEC = """\
+input 2 8 8
+conv k3 p1 c8
+res{
+vac dm4 e1:4 e2:4 um8
+conv k1 c8
+}res
+gap
+fc 3
 softmax
 """
 
@@ -155,11 +171,14 @@ class TestTrain:
         top1, _ = evaluate(net, ds)
         assert top1 == 1.0
 
-    def test_micro_b_epoch_peak(self):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_micro_b_epoch_peak(self, threads, monkeypatch):
         # A warmed-up b32 attendnet-micro-b epoch: forward caches, gradients
-        # and one conv chunk's patches at a time. Unfolding each conv's whole
-        # batch at once peaked at 50.8 MiB. The network comes back without
-        # forward state: keeping its caches left 25.0 MiB allocated.
+        # and one conv chunk's patches at a time, per sub-batch. Unfolding
+        # each conv's whole batch at once peaked at 50.8 MiB. The network
+        # comes back without forward state: keeping its caches left 25.0 MiB
+        # allocated.
+        use_threads(monkeypatch, threads)
         spec = nb.reference_spec("attendnet-micro-b")
         r = np.random.default_rng(0)
         ds = Dataset(r.random((64, *spec.input_shape)), r.integers(0, 10, 64))
@@ -175,9 +194,20 @@ class TestTrain:
         assert peak < 45 * 2**20, f"{peak / 2**20:.2f} MiB peak"
         assert left < 2**20, f"{left / 2**20:.2f} MiB left by train"
 
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("diverge", [False, True])
-    def test_returns_network_without_forward_state(self, diverge):
-        # the last step's caches belong to weights that step has since moved
+    def test_returns_network_without_forward_state(self, diverge, threads, monkeypatch):
+        # the last step's caches belong to weights that step has since moved,
+        # in the network and in the replica that ran each step's second half
+        use_threads(monkeypatch, threads)
+        replicas = []
+        make_replica = nb.Network.replica
+
+        def recorded(net):
+            replicas.append(make_replica(net))
+            return replicas[-1]
+
+        monkeypatch.setattr(nb.Network, "replica", recorded)
         net = nb.compile_spec(nb.parse_dsl("input 1 4 4\nconv k1 c4\nres{\nconv k1 c4\n}res\n"
                                            "vac dm2 e1:2 e2:2 um4\ngap\nfc 2\nsoftmax\n"),
                               seed=0)
@@ -188,12 +218,17 @@ class TestTrain:
                 train(net, ds, TrainConfig(batch_size=4))
         else:
             train(net, ds, TrainConfig(batch_size=4))
-        blocks = [c for b in net.blocks for c in getattr(b, "children", [b])]
-        assert len(blocks) == 6
-        assert net._probs is None
-        assert all(b._cache is None for b in blocks)
-        with pytest.raises(IntegrityError, match="call forward"):
-            net.loss_and_backward(ds.labels[:4])
+        assert len(replicas) == 1
+        for n in (net, *replicas):
+            blocks = [c for b in n.blocks for c in getattr(b, "children", [b])]
+            assert len(blocks) == 6
+            assert n._probs is None
+            assert all(b._cache is None for b in blocks)
+            with pytest.raises(IntegrityError, match="call forward"):
+                n.loss_and_backward(ds.labels[:4])
+        # the replica's blocks hold the network's parameter arrays, not copies
+        assert all(a is b for (_, a), (_, b) in zip(net.parameters(),
+                                                     replicas[0].parameters()))
 
     def test_empty_dataset_raises_config_error(self):
         net = nb.compile_spec(nb.parse_dsl(FC_ONLY), seed=0)
@@ -201,15 +236,109 @@ class TestTrain:
             train(net, Dataset(np.zeros((0, 1, 4, 4)), np.zeros(0, dtype=int)),
                   TrainConfig())
 
-    def test_non_finite_activation_is_divergence_at_its_step(self):
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("row", [1, 3])  # in the first and in the second sub-batch
+    def test_non_finite_activation_is_divergence_at_its_step(self, row, threads,
+                                                              monkeypatch):
+        use_threads(monkeypatch, threads)
         net = nb.compile_spec(nb.parse_dsl("input 1 4 4\nconv k1 c4\nvac dm2 e1:2 e2:2 um4\n"
                                            "gap\nfc 2\nsoftmax\n"), seed=0)
         ds = toy_dataset(n=8)
         order = np.random.Generator(np.random.PCG64(0)).permutation(8)  # epoch 0, seed 0
-        ds.images[order[5], 0, 1, 1] = np.nan  # in the second batch of four
+        ds.images[order[4 + row], 0, 1, 1] = np.nan  # in the second batch of four
         with pytest.raises(DivergenceError, match=r"step 1: block 1 \(vac\)") as info:
             train(net, ds, TrainConfig(batch_size=4, seed=0))
         assert info.value.step == 1
+
+
+def _trained_bytes(text, batch_size, threads, monkeypatch):
+    use_threads(monkeypatch, threads)
+    spec = nb.parse_dsl(text)
+    r = np.random.default_rng(4)
+    ds = Dataset(r.random((34, *spec.input_shape)), r.integers(0, spec.class_count, 34))
+    net = nb.compile_spec(spec, seed=2)
+    report = train(net, ds, TrainConfig(lr=0.05, batch_size=batch_size, epochs=1, seed=5))
+    return report.to_csv(), [arr.tobytes() for _, arr in net.parameters()]
+
+
+class TestSubBatches:
+    """A batch of n >= 2 trains as two sub-batches, the first ceil(n/2)
+    images and the last floor(n/2), split by n alone."""
+
+    # 34 images: a b32 and a b33 epoch end in a partial batch of 2 and of 1,
+    # and a b3 epoch in a batch of 1, which is not split
+    @pytest.mark.parametrize("batch_size", [1, 3, 32, 33])
+    @pytest.mark.parametrize("text", [nb.REFERENCE_SPECS["attendnet-micro-a"],
+                                      nb.REFERENCE_SPECS["attendnet-micro-b"], RES_SPEC],
+                             ids=["micro-a", "micro-b", "res"])
+    def test_bits_do_not_depend_on_threads(self, text, batch_size, monkeypatch):
+        serial = _trained_bytes(text, batch_size, 1, monkeypatch)
+        assert _trained_bytes(text, batch_size, 2, monkeypatch) == serial
+
+    def test_both_threads_run_sub_batches(self, monkeypatch):
+        # with a helper, the second half can run beside the first
+        use_threads(monkeypatch, 2)
+        threads = set()
+        forward = nb.Network.forward
+
+        def recorded(net, x):
+            threads.add(threading.get_ident())
+            time.sleep(0.01)  # keeps this thread busy while the other one claims
+            return forward(net, x)
+
+        monkeypatch.setattr(nb.Network, "forward", recorded)
+        net = nb.compile_spec(nb.parse_dsl(FC_ONLY), seed=0)
+        train(net, toy_dataset(n=8), TrainConfig(batch_size=4))
+        assert len(threads) == 2
+
+    @pytest.mark.parametrize("name", sorted(nb.REFERENCE_SPECS))
+    def test_summed_gradient_matches_whole_batch(self, name):
+        spec = nb.reference_spec(name)
+        r = np.random.default_rng(0)
+        x, labels = r.random((32, *spec.input_shape)), r.integers(0, 10, 32)
+        whole = nb.compile_spec(spec, seed=1)
+        probs = whole.forward(x).copy()
+        loss = whole.loss_and_backward(labels)
+        split = nb.compile_spec(spec, seed=1)
+        split_probs = trainer._batch_gradients([split, split.replica()], x, labels)
+        # float64 forward is batch-invariant, so the loss keeps its bits
+        assert split_probs.tobytes() == probs.tobytes()
+        assert K.cross_entropy(split_probs, labels) == loss
+        # each gradient is the same sum of per-image terms, rounded in another
+        # order: within a few float64 ulps of the gradient's largest entry
+        for (key, g), (_, want) in zip(split.gradients(), whole.gradients()):
+            bound = 16 * np.finfo(np.float64).eps * max(np.abs(want).max(), 1e-300)
+            assert np.abs(g - want).max() <= bound, key
+
+    @pytest.mark.parametrize("name", sorted(nb.REFERENCE_SPECS))
+    def test_step_one_loss_is_the_whole_batch_loss(self, name):
+        spec = nb.reference_spec(name)
+        r = np.random.default_rng(0)
+        ds = Dataset(r.random((32, *spec.input_shape)), r.integers(0, 10, 32))
+        whole = nb.compile_spec(spec, seed=1)
+        order = np.random.Generator(np.random.PCG64(3)).permutation(32)
+        whole.forward(ds.images[order])
+        loss = whole.loss_and_backward(ds.labels[order])
+        report = train(nb.compile_spec(spec, seed=1), ds,
+                       TrainConfig(lr=0.02, batch_size=32, seed=3))
+        assert report.epochs[0][1] == loss * 32 / 32
+
+    def test_loss_gradient_rows_divide_by_the_whole_batch(self):
+        probs = K.softmax(np.random.default_rng(0).standard_normal((5, 3)))
+        labels = np.array([0, 2, 1, 1, 0])
+        whole = K.softmax_xent_backward(probs, labels)
+        parts = [K.softmax_xent_backward(probs[s], labels[s], 5)
+                 for s in (slice(0, 3), slice(3, 5))]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_heaps_trimmed_only_beside_a_helper(self, threads, monkeypatch):
+        use_threads(monkeypatch, threads)
+        calls = []
+        monkeypatch.setattr(nb, "_trim_heaps", lambda: calls.append(1))
+        train(nb.compile_spec(nb.parse_dsl(FC_ONLY), seed=0), toy_dataset(n=4),
+              TrainConfig(batch_size=2))
+        assert len(calls) == (threads > 1)
 
 
 class TestEvaluate:
