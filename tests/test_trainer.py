@@ -283,12 +283,12 @@ class TestSubBatches:
 
         def recorded(net, x):
             threads.add(threading.get_ident())
-            time.sleep(0.01)  # keeps this thread busy while the other one claims
+            time.sleep(0.02)  # keeps this thread busy while the other one claims
             return forward(net, x)
 
         monkeypatch.setattr(nb.Network, "forward", recorded)
         net = nb.compile_spec(nb.parse_dsl(FC_ONLY), seed=0)
-        train(net, toy_dataset(n=8), TrainConfig(batch_size=4))
+        train(net, toy_dataset(n=32), TrainConfig(batch_size=4))
         assert len(threads) == 2
 
     @pytest.mark.parametrize("name", sorted(nb.REFERENCE_SPECS))
@@ -305,7 +305,8 @@ class TestSubBatches:
         assert split_probs.tobytes() == probs.tobytes()
         assert K.cross_entropy(split_probs, labels) == loss
         # each gradient is the same sum of per-image terms, rounded in another
-        # order: within a few float64 ulps of the gradient's largest entry
+        # order: within 16 float64 ulps of the gradient's largest entry (the
+        # reference specs' worst entry is off by 3.6)
         for (key, g), (_, want) in zip(split.gradients(), whole.gradients()):
             bound = 16 * np.finfo(np.float64).eps * max(np.abs(want).max(), 1e-300)
             assert np.abs(g - want).max() <= bound, key
