@@ -41,23 +41,24 @@ from .vac import VacConfig, vac_backward, vac_forward  # noqa: F401
 
 MAGIC = b"ACNK"
 FORMAT_VERSION = 1
-# Images per pass of Network.predict, and its unit of parallel work. A
-# micro-a chunk's transients (im2col patches, conv, ReLU and pool outputs)
-# peak at 1.7 MiB, inside a 2 MiB L2 cache, and are reused from the heap
-# instead of being mapped afresh.
+# Images per pass of Network.forward and Network.predict, and their unit of
+# parallel work. A micro-a chunk's transients (im2col patches, conv, ReLU and
+# pool outputs) peak at 1.7 MiB, inside a 2 MiB L2 cache, and are reused from
+# the heap instead of being mapped afresh.
 PREDICT_CHUNK = 32
 
 
 def _predict_threads():
-    """Threads that share a multi-chunk Network.predict, and the two
-    sub-batches of a ``trainer.train`` step: 2, the calling thread and one
-    helper, when the process's affinity mask holds a second CPU and the BLAS
-    pool was pinned to one thread; else 1. The BLAS pool's size is read as
-    OpenBLAS reads it when it loads: the first of its thread variables that
-    holds a positive count, else one thread per CPU. Beside a threaded BLAS,
-    which already spreads the larger products over the CPUs, a helper made
-    micro-b passes slower. Two is the only count whose speed and memory were
-    measured; each thread holds its own chunk's or sub-batch's transients."""
+    """Threads that share a multi-chunk Network.forward or Network.predict,
+    and the two sub-batches of a ``trainer.train`` step: 2, the calling
+    thread and one helper, when the process's affinity mask holds a second
+    CPU and the BLAS pool was pinned to one thread; else 1. The BLAS pool's
+    size is read as OpenBLAS reads it when it loads: the first of its thread
+    variables that holds a positive count, else one thread per CPU. Beside a
+    threaded BLAS, which already spreads the larger products over the CPUs,
+    a helper made micro-b passes slower. Two is the only count whose speed
+    and memory were measured; each thread holds its own chunk's or
+    sub-batch's transients."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
@@ -372,8 +373,10 @@ class Block:
         return out
 
     def predict(self, x):
-        """The same forward on float32 copies of ``p``; its cache is dropped."""
-        p = {name: arr.astype(np.float32) for name, arr in self.p.items()}
+        """The same forward in ``x``'s dtype, its cache dropped: on ``p``
+        itself at float64, on float32 copies of ``p`` at float32."""
+        p = self.p if x.dtype == np.float64 else {
+            name: arr.astype(np.float32) for name, arr in self.p.items()}
         return globals()[f"{self.kind}_forward"](x, p, self.layer)[0]
 
     def backward(self, grad, input_grad=True):
@@ -452,10 +455,10 @@ def _compile_layer(layer, rng):
     return (ResidualBlock if layer.kind == "res" else Block)(layer, rng)
 
 
-# The helper threads of Network.predict and trainer.train, shared by every
-# network in the process.
+# The helper threads of Network.forward, Network.predict and trainer.train,
+# shared by every network in the process.
 
-_helpers = None  # ThreadPoolExecutor, made by the first shared predict or train step
+_helpers = None  # ThreadPoolExecutor, made by the first shared pass or train step
 _helpers_lock = threading.Lock()
 
 
@@ -481,19 +484,6 @@ def _drop_helpers():
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_helpers)
-
-
-def _trim_heaps():
-    """Hand the free pages of every malloc arena back to the OS, where glibc's
-    ``malloc_trim`` exists. A helper thread allocates from an arena of its
-    own, whose freed memory the calling thread never reuses: after a
-    micro-b training run it held 13-15 MiB, which stayed resident beside
-    everything the caller allocated next."""
-    import ctypes
-    try:
-        ctypes.CDLL(None).malloc_trim(0)
-    except (AttributeError, OSError, TypeError):  # no glibc
-        pass
 
 
 def _map_chunks(run, chunks):
@@ -549,7 +539,6 @@ class Network:
         rng = None if seed is None else np.random.Generator(np.random.PCG64(seed))
         self.blocks = [_compile_layer(l, rng) for l in spec.layers]
         self.blobs = {}
-        self._probs = None
 
     def parameters(self):
         """All (qualified_name, array) pairs in deterministic order."""
@@ -562,17 +551,18 @@ class Network:
         return sum(arr.size for _, arr in self.parameters())
 
     def forward(self, x):
-        """The float64 training forward: each block caches what its backward
-        needs, and the probabilities are kept for ``loss_and_backward``; a
-        forward that raises leaves none, so no backward runs on its caches."""
-        self._probs = None
-        self._probs = self._run(self._checked(np.asarray(x, dtype=np.float64)), "forward")
-        return self._probs
+        """Float64 inference: ``predict``'s pass on the parameters themselves,
+        giving the bits of ``loss_and_backward``'s probabilities."""
+        return self._infer(x, np.float64)
 
     def predict(self, x):
-        """Inference: the same blocks in float32 (input and parameters cast),
-        storing no cache and leaving every ``forward`` state as it was.
-        Softmax returns float64 probabilities.
+        """Inference in float32 (input and parameters cast). Softmax returns
+        float64 probabilities."""
+        return self._infer(x, np.float32)
+
+    def _infer(self, x, dtype):
+        """The blocks' cache-free pass in ``dtype``, leaving every
+        ``loss_and_backward`` state as it was.
 
         The batch shape is checked once; then at most ``PREDICT_CHUNK``
         images at a time are cast and run through the blocks, so that each
@@ -587,7 +577,7 @@ class Network:
         x = self._checked(np.asarray(x))
         chunks = [x[i:i + PREDICT_CHUNK] for i in range(0, len(x), PREDICT_CHUNK)]
         return np.concatenate(_map_chunks(
-            lambda c: self._run(np.asarray(c, dtype=np.float32), "predict"), chunks))
+            lambda c: self._run(np.asarray(c, dtype=dtype), "predict"), chunks))
 
     def _checked(self, x):
         c, h, w = self.spec.input_shape
@@ -601,24 +591,21 @@ class Network:
         K.check_finite(x, "network output")
         return x
 
-    def loss_and_backward(self, labels, batch=None):
-        """Mean cross-entropy of the last forward batch, populating block
-        grads. Nothing reads the network's input gradient, so the first
-        block forms none. Given ``batch``, the forward's images are part of
-        a batch of that many, and the grads are those of their summed loss
-        over ``batch``: the sub-batches' grads add up to the whole batch's."""
-        if self._probs is None:
-            raise K.IntegrityError("call forward before loss_and_backward")
-        loss = K.cross_entropy(self._probs, labels)
-        grad = K.softmax_xent_backward(self._probs, labels, batch)
+    def loss_and_backward(self, x, labels, batch=None):
+        """The training pass: the float64 forward of ``x``, each block
+        caching what its backward needs, then the gradients of the mean
+        cross-entropy, left in the blocks' grads. Returns the probabilities.
+        Nothing reads the network's input gradient, so the first block forms
+        none. Given ``batch``, the images are part of a batch of that many,
+        and the grads are those of their summed loss over ``batch``: the
+        sub-batches' grads add up to the whole batch's."""
+        probs = self._run(self._checked(np.asarray(x, dtype=np.float64)), "forward")
+        grad = K.softmax_xent_backward(probs, labels, batch)
         _backward(self.blocks[:-1], grad, False)  # softmax gradient is fused above
-        return loss
+        return probs
 
     def clear_forward_state(self):
-        """Drop every block's cache and the kept probabilities, so that the
-        network holds no forward state and a ``loss_and_backward`` needs a
-        fresh ``forward``; the parameters and gradients stay."""
-        self._probs = None
+        """Drop every block's cache; the parameters and gradients stay."""
         for b in self.blocks:
             b.clear_forward_state()
 
@@ -626,7 +613,7 @@ class Network:
         """A network on this one's parameter arrays whose blocks keep their
         own caches and gradients, so that two threads can train at once."""
         r = copy.copy(self)
-        r.blocks, r._probs = [b.replica() for b in self.blocks], None
+        r.blocks = [b.replica() for b in self.blocks]
         return r
 
 

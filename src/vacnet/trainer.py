@@ -153,9 +153,9 @@ def train(net, dataset, config):
     Each epoch visits the images in a fresh permutation from numpy's PCG64
     generator seeded with config.seed, so runs reproduce bitwise. A batch of
     n >= 2 images runs as two sub-batches, its first ceil(n/2) images and
-    its last floor(n/2), each forward and backward on its own replica: the
-    network itself and one ``Network.replica``. They are shared by this
-    thread and ``predict``'s helper, by ``predict``'s rule
+    its last floor(n/2), each through ``loss_and_backward`` on its own
+    replica: the network itself and one ``Network.replica``. They are
+    shared by this thread and ``predict``'s helper, by ``predict``'s rule
     (``netbuilder.PREDICT_THREADS``). The split depends only on n, and the
     sub-batch gradients are summed in sub-batch order, so the trained bits
     do not depend on the thread count. The network's int8 blobs are
@@ -171,8 +171,6 @@ def train(net, dataset, config):
     finally:
         for r in replicas:
             r.clear_forward_state()
-        if netbuilder.PREDICT_THREADS > 1:
-            netbuilder._trim_heaps()
 
 
 def _batch_gradients(replicas, x, labels):
@@ -186,9 +184,7 @@ def _batch_gradients(replicas, x, labels):
 
     def run(part):
         r, rows = part
-        probs = r.forward(x[rows])
-        r.loss_and_backward(labels[rows], n)
-        return probs
+        return r.loss_and_backward(x[rows], labels[rows], n)
 
     probs = np.concatenate(netbuilder._map_chunks(run, parts))
     if len(parts) == 2:

@@ -305,8 +305,7 @@ def _fd_micro_network(rng, seed):
     def loss():
         return K.cross_entropy(net.forward(x), labels)
 
-    net.forward(x)
-    net.loss_and_backward(labels)
+    net.loss_and_backward(x, labels)
     grads = dict(net.gradients())
     worst = 0.0
     for name, arr in net.parameters():

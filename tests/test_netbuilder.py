@@ -22,7 +22,7 @@ from vacnet import kernels as K
 from vacnet import netbuilder as nb
 from vacnet import quant
 from vacnet.complexity import count_mult_adds
-from vacnet.kernels import ConvSpec, IntegrityError, NonFiniteError, ShapeError
+from vacnet.kernels import ConvSpec, NonFiniteError, ShapeError
 from vacnet.netbuilder import FormatError, ParseError
 from vacnet.pepe import PepeConfig
 from vacnet.vac import VacConfig
@@ -481,13 +481,9 @@ class TestForwardBackward:
         labels = np.array([0, 2])
 
         def loss():
-            net.forward(x)
-            probs = net._probs
-            from vacnet.kernels import cross_entropy
-            return cross_entropy(probs, labels)
+            return K.cross_entropy(net.forward(x), labels)
 
-        net.forward(x)
-        net.loss_and_backward(labels)
+        net.loss_and_backward(x, labels)
         grads = dict(net.gradients())
         for name, arr in net.parameters():
             flat_idx = r.choice(arr.size, size=min(3, arr.size), replace=False)
@@ -522,23 +518,12 @@ class TestForwardBackward:
                                                      "vac input contains non-finite values$"):
                 run(x)
 
-    def test_failed_forward_leaves_no_probabilities(self):
-        # a backward after it would pair the last good batch's probabilities
-        # with caches of the failed one
-        net = nb.compile_spec(nb.parse_dsl(TINY), seed=0)
-        x = np.random.default_rng(0).random((2, 1, 28, 28))
-        net.forward(x)
-        x[0, 0, 3, 3] = np.nan
-        with pytest.raises(NonFiniteError):
-            net.forward(x)
-        with pytest.raises(IntegrityError, match="call forward"):
-            net.loss_and_backward(np.array([0, 1]))
-
     def test_bad_batch_shape(self):
         net = nb.compile_spec(nb.parse_dsl(TINY), seed=0)
-        from vacnet.kernels import ShapeError
         with pytest.raises(ShapeError):
             net.forward(np.zeros((1, 3, 28, 28)))
+        with pytest.raises(ShapeError):
+            net.loss_and_backward(np.zeros((1, 3, 28, 28)), np.array([0]))
 
     def test_empty_batch_rejected(self):
         net = nb.compile_spec(nb.parse_dsl(TINY), seed=0)
@@ -546,21 +531,49 @@ class TestForwardBackward:
             with pytest.raises(ShapeError):
                 run(np.zeros((0, 1, 28, 28)))
 
+    @pytest.mark.parametrize("name", sorted(nb.REFERENCE_SPECS))
+    def test_training_pass_probabilities_equal_forward(self, name):
+        # 40 images: forward runs them as chunks of 32 and 8, the training
+        # pass as one batch
+        spec = nb.reference_spec(name)
+        r = np.random.default_rng(6)
+        x, labels = r.random((40, *spec.input_shape)), r.integers(0, 10, 40)
+        net = nb.compile_spec(spec, seed=6)
+        assert net.loss_and_backward(x, labels).tobytes() == net.forward(x).tobytes()
 
-    def test_forward_caches_only_relu_outputs(self):
-        # each conv+ReLU keeps the tensor it returns and no pre-activation:
-        # a batch-32 micro-a forward left 12.1 MiB allocated with both kept
+    def test_forward_keeps_no_state(self):
         spec = nb.reference_spec("attendnet-micro-a")
-        x = np.random.default_rng(0).random((32, *spec.input_shape))
-        nb.compile_spec(spec).forward(x)  # warm up the tap tables and conv specs
+        x = np.random.default_rng(0).random((70, *spec.input_shape))
         net = nb.compile_spec(spec)
+        net.forward(x)  # warm up the tap tables and conv specs
         tracemalloc.start()
         try:
             net.forward(x)
             left, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert left <= 9 * 2**20, f"{left / 2**20:.2f} MiB left by forward"
+        # numpy's own small-object caches may keep about 1 KiB
+        assert left <= 2**16, f"{left} bytes left by forward"
+        assert all(b._cache is None for b in leaf_blocks(net))
+        assert not any(b.grads for b in leaf_blocks(net))
+
+    def test_forward_caches_only_relu_outputs(self):
+        # each conv+ReLU keeps the tensor it returns and no pre-activation:
+        # a batch-32 micro-a forward left 12.1 MiB allocated with both kept;
+        # the training pass leaves 6.04 MiB of caches and grads without
+        spec = nb.reference_spec("attendnet-micro-a")
+        r = np.random.default_rng(0)
+        x, labels = r.random((32, *spec.input_shape)), r.integers(0, 10, 32)
+        # warm up the tap tables and conv specs
+        nb.compile_spec(spec).loss_and_backward(x, labels)
+        net = nb.compile_spec(spec)
+        tracemalloc.start()
+        try:
+            net.loss_and_backward(x, labels)
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert left <= 9 * 2**20, f"{left / 2**20:.2f} MiB left by the training pass"
         blocks = [c for b in net.blocks for c in getattr(b, "children", [b])]
         for b in blocks:
             if b.kind == "conv":
@@ -572,18 +585,20 @@ class TestForwardBackward:
     def test_micro_b_forward_keeps_no_gating_map(self):
         # a VAC's cache holds no up-mix input, which backward rebuilds: with
         # it kept, a batch-32 micro-b forward left 24.02 MiB allocated; 21.02
-        # MiB without
+        # MiB without, and the training pass 21.27 MiB of caches and grads
         spec = nb.reference_spec("attendnet-micro-b")
-        x = np.random.default_rng(0).random((32, *spec.input_shape))
-        nb.compile_spec(spec).forward(x)  # warm up the tap tables and conv specs
+        r = np.random.default_rng(0)
+        x, labels = r.random((32, *spec.input_shape)), r.integers(0, 10, 32)
+        # warm up the tap tables and conv specs
+        nb.compile_spec(spec).loss_and_backward(x, labels)
         net = nb.compile_spec(spec)
         tracemalloc.start()
         try:
-            net.forward(x)
+            net.loss_and_backward(x, labels)
             left, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert left <= 22 * 2**20, f"{left / 2**20:.2f} MiB left by forward"
+        assert left <= 22 * 2**20, f"{left / 2**20:.2f} MiB left by the training pass"
 
 
 FIRST_BLOCKS = {
@@ -603,10 +618,9 @@ def test_first_block_skips_input_gradient_keeping_parameter_grads(first):
     net = nb.compile_spec(nb.parse_dsl(text), seed=2)
     r = np.random.default_rng(2)
     x, labels = r.random((5, 3, 8, 8)), r.integers(0, 4, 5)
-    net.forward(x)
-    net.loss_and_backward(labels)
+    probs = net.loss_and_backward(x, labels)
     got = dict(net.gradients())
-    grad = K.softmax_xent_backward(net._probs, labels)
+    grad = K.softmax_xent_backward(probs, labels)
     for b in reversed(net.blocks[1:-1]):
         grad = b.backward(grad)
     first_block = net.blocks[0]
@@ -644,23 +658,18 @@ class TestPredict:
         np.testing.assert_allclose(net.predict(x), want, rtol=0, atol=1e-5)
 
     def test_float64_rows_and_forward_state_untouched(self):
+        # neither inference pass touches the training pass's caches or grads
         net = nb.compile_spec(nb.parse_dsl(RES), seed=5)
         r = np.random.default_rng(5)
-        x, labels = r.random((3, 2, 8, 8)), np.array([0, 2, 1])
-        net.forward(x)
-        loss = net.loss_and_backward(labels)
-        blocks, probs = leaf_blocks(net), net._probs
+        net.loss_and_backward(r.random((3, 2, 8, 8)), np.array([0, 2, 1]))
+        blocks = leaf_blocks(net)
         caches, grads = [b._cache for b in blocks], dict(net.gradients())
-        got = net.predict(r.random((4, 2, 8, 8)))
-        assert got.dtype == np.float64 and got.shape == (4, 3)
-        np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        assert net._probs is probs
-        assert all(b._cache is c for b, c in zip(blocks, caches))
-        assert all(a is b for (_, a), b in zip(net.gradients(), grads.values()))
-        # the backward still runs on the last forward's caches
-        assert net.loss_and_backward(labels) == loss
-        for name, g in net.gradients():
-            assert g.tobytes() == grads[name].tobytes()
+        for run in (net.forward, net.predict):
+            got = run(r.random((4, 2, 8, 8)))
+            assert got.dtype == np.float64 and got.shape == (4, 3)
+            np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            assert all(b._cache is c for b, c in zip(blocks, caches))
+            assert all(a is b for (_, a), b in zip(net.gradients(), grads.values()))
 
     def test_every_block_pass_sees_float32(self, monkeypatch):
         seen = []
@@ -749,7 +758,7 @@ class TestPredict:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_int8_batch_256_keeps_no_cache(self, threads, monkeypatch):
-        # the float64 forward, which keeps every cache, peaks at 75 MiB here
+        # the training pass, which keeps every cache, peaks at 73 MiB here
         use_threads(monkeypatch, threads)
         spec = nb.reference_spec("attendnet-micro-a")
         net = quant.quantize_weights(nb.compile_spec(spec))
@@ -799,36 +808,39 @@ class TestSharedPredict:
             net = quant.quantize_weights(net)
         for n in (1, 31, 32, 33, 256):
             x = np.random.default_rng(n).random((n, *net.spec.input_shape))
-            use_threads(monkeypatch, 1)
-            want = net.predict(x).tobytes()
-            for threads in (2, 3):
-                use_threads(monkeypatch, threads)
-                assert net.predict(x).tobytes() == want, (n, threads)
+            for run in (net.forward, net.predict):
+                use_threads(monkeypatch, 1)
+                want = run(x).tobytes()
+                for threads in (2, 3):
+                    use_threads(monkeypatch, threads)
+                    assert run(x).tobytes() == want, (n, run.__name__, threads)
 
     def test_concurrent_callers_match_serial(self, monkeypatch):
+        # two threads call forward on one network, then two call predict
         net = quant.quantize_weights(nb.compile_spec(nb.reference_spec("attendnet-micro-a")))
         xs = [np.random.default_rng(s).random((100, 1, 28, 28)) for s in (1, 2)]
-        use_threads(monkeypatch, 1)
-        want = [net.predict(x).tobytes() for x in xs]
-        use_threads(monkeypatch, 3)
-        got = [[], []]
+        for run in (net.forward, net.predict):
+            use_threads(monkeypatch, 1)
+            want = [run(x).tobytes() for x in xs]
+            use_threads(monkeypatch, 3)
+            got = [[], []]
 
-        def call(k):
-            for _ in range(5):
-                got[k].append(net.predict(xs[k]).tobytes())
+            def call(k):
+                for _ in range(5):
+                    got[k].append(run(xs[k]).tobytes())
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            callers = [threading.Thread(target=call, args=(k,)) for k in (0, 1)]
-            for t in callers:
-                t.start()
-            for t in callers:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in callers)
-        assert got == [[want[0]] * 5, [want[1]] * 5]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                callers = [threading.Thread(target=call, args=(k,)) for k in (0, 1)]
+                for t in callers:
+                    t.start()
+                for t in callers:
+                    t.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in callers)
+            assert got == [[want[0]] * 5, [want[1]] * 5], run.__name__
 
     def test_lowest_failing_chunk_raises_after_every_helper_stops(self, monkeypatch):
         # chunks 1 and 6 of 8 fail; chunk 1 fails last in time, while the

@@ -11,7 +11,7 @@ from test_netbuilder import use_threads
 from vacnet import kernels as K
 from vacnet import netbuilder as nb
 from vacnet import trainer
-from vacnet.kernels import ConfigError, IntegrityError
+from vacnet.kernels import ConfigError
 from vacnet.trainer import (DataFormatError, Dataset, DivergenceError, TrainConfig,
                             evaluate, load_cifar10, load_idx, train)
 
@@ -222,10 +222,7 @@ class TestTrain:
         for n in (net, *replicas):
             blocks = [c for b in n.blocks for c in getattr(b, "children", [b])]
             assert len(blocks) == 6
-            assert n._probs is None
             assert all(b._cache is None for b in blocks)
-            with pytest.raises(IntegrityError, match="call forward"):
-                n.loss_and_backward(ds.labels[:4])
         # the replica's blocks hold the network's parameter arrays, not copies
         assert all(a is b for (_, a), (_, b) in zip(net.parameters(),
                                                      replicas[0].parameters()))
@@ -279,14 +276,14 @@ class TestSubBatches:
         # with a helper, the second half can run beside the first
         use_threads(monkeypatch, 2)
         threads = set()
-        forward = nb.Network.forward
+        training_pass = nb.Network.loss_and_backward
 
-        def recorded(net, x):
+        def recorded(net, x, labels, batch=None):
             threads.add(threading.get_ident())
             time.sleep(0.02)  # keeps this thread busy while the other one claims
-            return forward(net, x)
+            return training_pass(net, x, labels, batch)
 
-        monkeypatch.setattr(nb.Network, "forward", recorded)
+        monkeypatch.setattr(nb.Network, "loss_and_backward", recorded)
         net = nb.compile_spec(nb.parse_dsl(FC_ONLY), seed=0)
         train(net, toy_dataset(n=32), TrainConfig(batch_size=4))
         assert len(threads) == 2
@@ -297,13 +294,11 @@ class TestSubBatches:
         r = np.random.default_rng(0)
         x, labels = r.random((32, *spec.input_shape)), r.integers(0, 10, 32)
         whole = nb.compile_spec(spec, seed=1)
-        probs = whole.forward(x).copy()
-        loss = whole.loss_and_backward(labels)
+        probs = whole.loss_and_backward(x, labels)
         split = nb.compile_spec(spec, seed=1)
         split_probs = trainer._batch_gradients([split, split.replica()], x, labels)
         # float64 forward is batch-invariant, so the loss keeps its bits
         assert split_probs.tobytes() == probs.tobytes()
-        assert K.cross_entropy(split_probs, labels) == loss
         # each gradient is the same sum of per-image terms, rounded in another
         # order: within 16 float64 ulps of the gradient's largest entry (the
         # reference specs' worst entry is off by 3.6)
@@ -318,8 +313,8 @@ class TestSubBatches:
         ds = Dataset(r.random((32, *spec.input_shape)), r.integers(0, 10, 32))
         whole = nb.compile_spec(spec, seed=1)
         order = np.random.Generator(np.random.PCG64(3)).permutation(32)
-        whole.forward(ds.images[order])
-        loss = whole.loss_and_backward(ds.labels[order])
+        loss = K.cross_entropy(whole.loss_and_backward(ds.images[order], ds.labels[order]),
+                               ds.labels[order])
         report = train(nb.compile_spec(spec, seed=1), ds,
                        TrainConfig(lr=0.02, batch_size=32, seed=3))
         assert report.epochs[0][1] == loss * 32 / 32
@@ -331,15 +326,6 @@ class TestSubBatches:
         parts = [K.softmax_xent_backward(probs[s], labels[s], 5)
                  for s in (slice(0, 3), slice(3, 5))]
         assert np.concatenate(parts).tobytes() == whole.tobytes()
-
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_heaps_trimmed_only_beside_a_helper(self, threads, monkeypatch):
-        use_threads(monkeypatch, threads)
-        calls = []
-        monkeypatch.setattr(nb, "_trim_heaps", lambda: calls.append(1))
-        train(nb.compile_spec(nb.parse_dsl(FC_ONLY), seed=0), toy_dataset(n=4),
-              TrainConfig(batch_size=2))
-        assert len(calls) == (threads > 1)
 
 
 class TestEvaluate:
@@ -382,7 +368,6 @@ class TestEvaluate:
     def test_runs_cache_free_predict(self):
         net = nb.compile_spec(nb.parse_dsl(FC_ONLY), seed=3)
         evaluate(net, toy_dataset(n=25, seed=2))
-        assert net._probs is None
         assert all(b._cache is None for b in net.blocks)
 
     def test_empty_rejected(self):
