@@ -16,7 +16,9 @@ most ``PATCH_BYTES`` of them (at least one image), so they are still in L2
 when their products are formed. ``conv2d_backward``, and ``conv2d_forward``
 when a batch takes more than one chunk, unfold into a per-thread scratch
 array that never grows past one chunk's patches; nothing returned aliases it.
-Each image's GEMM is its own, so no output depends on the chunking.
+A one-image forward unfolds with one gather, not a copy per tap. Each
+image's GEMM is its own, so no output depends on the chunking or the unfold.
+Conv and pool shape work is done once per layer and input size, on first use.
 A ``ConvSpec`` checks its channels, kernel, stride, padding and groups when
 built, and ``conv2d_forward`` checks its input's rank and channels, so a block
 made of convs restates neither; ``check_finite`` is the divergence scan.
@@ -102,6 +104,16 @@ class ConvSpec:
     def weight_shape(self):
         return (self.c_out, self.c_in // self.groups, *self.kernel)
 
+    @functools.cached_property
+    def _geometries(self):
+        return {}
+
+    def geometry(self, h, w):
+        """This conv's ``ConvGeometry`` at an h x w input, made on first use and
+        kept on the spec: a cache keyed on the spec would hash it in Python."""
+        geo = self._geometries.get((h, w))
+        return geo or self._geometries.setdefault((h, w), ConvGeometry(self, h, w))
+
     def mult_adds(self, h, w):
         """Forward mult-adds of one image at an h x w input."""
         oh, ow = self.out_hw(h, w)
@@ -137,7 +149,6 @@ def conv_param_shapes(convs):
             for kind, shape in (("w", spec.weight_shape()), ("b", (spec.c_out,)))}
 
 
-@functools.lru_cache(maxsize=256)
 def _taps(h, w, oh, ow, kernel, stride, padding):
     """Slices (i, j, out_rows, out_cols, in_rows, in_cols) for each kernel tap:
     the outputs (r, c) whose read of input pixel (r*sh + i - ph, c*sw + j - pw)
@@ -156,13 +167,51 @@ def _taps(h, w, oh, ow, kernel, stride, padding):
                  for i, (ro, ri) in rows.items() for j, (co, ci) in cols.items())
 
 
+class ConvGeometry:
+    """A conv's shape work at one h x w input: output size, weight shapes, one
+    image's patch shape and size, and ``taps`` (None for a 1x1/s1/p0 conv)."""
+
+    def __init__(self, spec, h, w):
+        self.h, self.w = h, w
+        self.oh, self.ow = oh, ow = spec.out_hw(h, w)
+        self.groups, self.weight_shape = spec.groups, spec.weight_shape()
+        self.group_shape = (spec.groups, spec.c_out // spec.groups, -1)
+        self.cols_shape = (spec.c_in, *spec.kernel, oh, ow)
+        self.elems = math.prod(self.cols_shape)
+        self.padded = any(spec.padding)
+        identity = spec.kernel == spec.stride == (1, 1) and not self.padded
+        self.taps = None if identity else _taps(h, w, oh, ow, spec.kernel, spec.stride,
+                                                spec.padding)
+
+    def chunk(self, itemsize):
+        """Images per patch chunk: as many as PATCH_BYTES of patches hold, at least one."""
+        return max(1, PATCH_BYTES // (self.elems * itemsize))
+
+    @functools.cached_property
+    def index(self):
+        """Read-only offset of each (i, j, r, c) patch element in a plane of
+        h*w pixels and then a zero, which every read of the padding takes."""
+        idx = np.full(self.cols_shape[1:], self.h * self.w)
+        pixels = np.arange(self.h * self.w).reshape(self.h, self.w)
+        for i, j, ro, co, ri, ci in self.taps:
+            idx[i, j, ro, co] = pixels[ri, ci]
+        idx.flags.writeable = False
+        return idx.ravel()
+
+
 @functools.lru_cache(maxsize=256)
-def _window_starts(h, w, oh, ow, sh, sw):
-    """Read-only (oh, ow) flat offset of each pool window's top-left pixel in
-    one h x w plane; it does not grow with the batch."""
+def _pool_geometry(n, c, h, w, kh, kw, sh, sw):
+    """Max-pool shape work for an (n, c, h, w) input: x's first tap, the other
+    taps with their in-window offsets in ``dtype``, and the read-only flat
+    offsets of each window in its plane (oh, ow) and of each plane (n, c, 1, 1)."""
+    oh, ow = (h - kh) // sh + 1, (w - kw) // sw + 1
+    first, *taps = _taps(h, w, oh, ow, (kh, kw), (sh, sw), (0, 0))
+    dtype = np.min_scalar_type((kh - 1) * w + kw - 1)
+    steps = tuple((np.s_[:, :, ri, ci], dtype.type(i * w + j)) for i, j, _, _, ri, ci in taps)
     starts = np.arange(oh)[:, None] * (sh * w) + np.arange(ow) * sw
-    starts.flags.writeable = False
-    return starts
+    planes = np.arange(0, n * c * h * w, h * w).reshape(n, c, 1, 1)
+    starts.flags.writeable = planes.flags.writeable = False
+    return np.s_[:, :, first[4], first[5]], steps, dtype, starts, planes
 
 
 # Bytes of im2col patches a conv unfolds at once. A chunk's patches, their
@@ -183,45 +232,38 @@ def _workspace(shape, dtype):
     return buf[:nbytes].view(dtype).reshape(shape)
 
 
-def _is_identity_unfold(spec):
-    return spec.kernel == spec.stride == (1, 1) and spec.padding == (0, 0)
-
-
-def _im2col(x, spec, oh, ow, scratch=False):
-    """Channel-major, per-image patch matrix (n, g, (c_in/g)*kh*kw, oh*ow).
+def _im2col(x, geo, scratch=False):
+    """Channel-major, per-image patch matrix (n, g, (c_in/g)*kh*kw, oh*ow) of
+    the conv whose ``ConvGeometry`` at x's size is ``geo``.
 
     Row (c, i, j) of group g is input channel g*(c_in/g) + c at tap (i, j), so
-    W.reshape(g, og, -1) @ cols is NCHW already. Each tap is one strided copy
-    from the unpadded x. A 1x1/s1/p0 conv on a contiguous input needs no copy:
-    the reshape is a view of x. ``scratch`` fills the thread's workspace
+    W.reshape(g, og, -1) @ cols is NCHW already. A 1x1/s1/p0 conv on a
+    contiguous input needs no copy: the reshape is a view of x. One image is
+    gathered by one ``take`` through ``geo.index`` from its planes, each ended
+    by a zero that the padding reads; a batch is unfolded by one strided copy
+    per tap from the unpadded x. ``scratch`` fills the thread's workspace
     instead of a new array: the backward always does, the forward only when
     its batch takes more than one chunk, as a one-chunk batch runs no faster
     through the workspace.
     """
     n, c, h, w = x.shape
-    if _is_identity_unfold(spec):
-        return x.reshape(n, spec.groups, -1, oh * ow)
-    shape = (n, c, *spec.kernel, oh, ow)
-    if scratch:
-        cols = _workspace(shape, x.dtype)
-        if any(spec.padding):
-            cols.fill(0)
+    if geo.taps is None:
+        return x.reshape(n, geo.groups, -1, geo.oh * geo.ow)
+    if n == 1 and not scratch:
+        plane = np.zeros((1, c, h * w + 1), dtype=x.dtype)
+        plane[:, :, :-1] = x.reshape(1, c, h * w)
+        cols = plane.take(geo.index, axis=2)
     else:
-        cols = (np.zeros if any(spec.padding) else np.empty)(shape, dtype=x.dtype)
-    for i, j, ro, co, ri, ci in _taps(h, w, oh, ow, spec.kernel, spec.stride, spec.padding):
-        cols[:, :, i, j, ro, co] = x[:, :, ri, ci]
-    return cols.reshape(n, spec.groups, -1, oh * ow)
-
-
-def _chunk_images(x, spec, oh, ow):
-    """Images per patch chunk: as many whole images as PATCH_BYTES of patches
-    hold, and at least one. A 1x1/s1/p0 conv's patches are a view of x, so its
-    whole batch is one chunk."""
-    n = len(x)
-    if n <= 1 or _is_identity_unfold(spec):
-        return max(n, 1)
-    per_image = x.shape[1] * spec.kernel[0] * spec.kernel[1] * oh * ow * x.itemsize
-    return max(1, PATCH_BYTES // per_image)
+        shape = (n, *geo.cols_shape)
+        if scratch:
+            cols = _workspace(shape, x.dtype)
+            if geo.padded:
+                cols.fill(0)
+        else:
+            cols = (np.zeros if geo.padded else np.empty)(shape, dtype=x.dtype)
+        for i, j, ro, co, ri, ci in geo.taps:
+            cols[:, :, i, j, ro, co] = x[:, :, ri, ci]
+    return cols.reshape(n, geo.groups, -1, geo.oh * geo.ow)
 
 
 def conv2d_forward(x, weights, bias, spec):
@@ -234,23 +276,23 @@ def conv2d_forward(x, weights, bias, spec):
     bias = np.asarray(bias)
     if x.ndim != 4 or x.shape[1] != spec.c_in:
         raise ShapeError(f"input shape {x.shape} does not match c_in={spec.c_in}")
-    if weights.shape != spec.weight_shape():
-        raise ShapeError(f"weights shape {weights.shape}, expected {spec.weight_shape()}")
+    n, _, h, w = x.shape
+    geo = spec.geometry(h, w)
+    if weights.shape != geo.weight_shape:
+        raise ShapeError(f"weights shape {weights.shape}, expected {geo.weight_shape}")
     if bias.shape != (spec.c_out,):
         raise ShapeError(f"bias shape {bias.shape}, expected ({spec.c_out},)")
-    n, _, h, w = x.shape
-    oh, ow = spec.out_hw(h, w)
-    wg = weights.reshape(spec.groups, spec.c_out // spec.groups, -1)
-    step = _chunk_images(x, spec, oh, ow)
+    wg = weights.reshape(geo.group_shape)
+    step = n if geo.taps is None else geo.chunk(x.itemsize)
     if step >= n:
-        out = np.matmul(wg, _im2col(x, spec, oh, ow))
+        out = np.matmul(wg, _im2col(x, geo))
     else:
-        out = np.empty((n, *wg.shape[:2], oh * ow), dtype=np.result_type(x, weights))
+        out = np.empty((n, *wg.shape[:2], geo.oh * geo.ow), dtype=np.result_type(x, weights))
         for lo in range(0, n, step):
-            np.matmul(wg, _im2col(x[lo:lo + step], spec, oh, ow, scratch=True),
+            np.matmul(wg, _im2col(x[lo:lo + step], geo, scratch=True),
                       out=out[lo:lo + step])
-    out = out.reshape(n, spec.c_out, oh, ow)
-    out += bias[None, :, None, None]
+    out = out.reshape(n, spec.c_out, geo.oh, geo.ow)
+    out += bias[:, None, None]
     return out
 
 
@@ -268,7 +310,8 @@ def conv2d_backward(grad_out, saved_input, weights, spec, input_grad=True):
     grad_out = np.asarray(grad_out)
     x = np.asarray(saved_input)
     n, _, h, w = x.shape
-    oh, ow = spec.out_hw(h, w)
+    geo = spec.geometry(h, w)
+    oh, ow = geo.oh, geo.ow
     if grad_out.shape != (n, spec.c_out, oh, ow):
         raise ShapeError(f"grad_out shape {grad_out.shape}, "
                          f"expected {(n, spec.c_out, oh, ow)}")
@@ -278,28 +321,26 @@ def conv2d_backward(grad_out, saved_input, weights, spec, input_grad=True):
     go = grad_out.reshape(n, g, og, oh * ow)
     wgt = weights.reshape(g, og, -1).transpose(0, 2, 1)
     grad_input = None
-    if _is_identity_unfold(spec):
-        prods = np.matmul(go, _im2col(x, spec, oh, ow).transpose(0, 1, 3, 2))
+    if geo.taps is None:
+        prods = np.matmul(go, _im2col(x, geo).transpose(0, 1, 3, 2))
         if input_grad:
             grad_input = np.matmul(wgt, go).reshape(x.shape)
     else:
         prods = np.empty((n, g, og, wgt.shape[1]), dtype=np.result_type(grad_out, x))
         if input_grad:
             grad_input = np.zeros(x.shape, dtype=x.dtype)
-        taps = _taps(h, w, oh, ow, spec.kernel, spec.stride, spec.padding)
-        step = _chunk_images(x, spec, oh, ow)
+        step = geo.chunk(x.itemsize)
         for lo in range(0, n, step):
             chunk = slice(lo, lo + step)
-            cols = _im2col(x[chunk], spec, oh, ow, scratch=True)
+            cols = _im2col(x[chunk], geo, scratch=True)
             np.matmul(go[chunk], cols.transpose(0, 1, 3, 2), out=prods[chunk])
             if not input_grad:
                 continue
-            dcols = np.matmul(wgt, go[chunk], out=cols).reshape(
-                len(cols), spec.c_in, *spec.kernel, oh, ow)
+            dcols = np.matmul(wgt, go[chunk], out=cols).reshape(len(cols), *geo.cols_shape)
             gi = grad_input[chunk]
-            for i, j, ro, co, ri, ci in taps:
+            for i, j, ro, co, ri, ci in geo.taps:
                 gi[:, :, ri, ci] += dcols[:, :, i, j, ro, co]
-    grad_weights = prods.sum(axis=0).reshape(spec.weight_shape())
+    grad_weights = prods.sum(axis=0).reshape(geo.weight_shape)
     return grad_input, grad_weights, grad_bias
 
 
@@ -335,22 +376,20 @@ def maxpool2d_forward(x, kernel, stride):
         raise ConfigError(f"pool kernel {kernel} and stride {stride} must be >= 1")
     if kh > h or kw > w:
         raise ShapeError(f"pool kernel {kernel} larger than input {h}x{w}")
-    oh = (h - kh) // sh + 1
-    ow = (w - kw) // sw + 1
-    (_, _, _, _, ri, ci), *taps = _taps(h, w, oh, ow, (kh, kw), (sh, sw), (0, 0))
-    run = np.fmin(x[:, :, ri, ci], np.inf)
+    first, steps, dtype, starts, planes = _pool_geometry(n, c, h, w, kh, kw, sh, sw)
+    run = np.fmin(x[first], np.inf)
     nxt = np.empty_like(run)
     # The narrowest unsigned dtype that holds every in-window offset keeps the
     # per-tap product and maximum cheap; the product keeps that dtype.
-    best = np.zeros(run.shape, dtype=np.min_scalar_type((kh - 1) * w + kw - 1))
-    for i, j, _, _, ri, ci in taps:
+    best = np.zeros(run.shape, dtype=dtype)
+    for tap, offset in steps:
         # The tap beats the running max exactly when fmax(run, tap) > run;
         # comparing the two dense arrays reads the strided tap only once.
-        np.fmax(run, x[:, :, ri, ci], out=nxt)
-        np.maximum(best, (nxt > run) * best.dtype.type(i * w + j), out=best)
+        np.fmax(run, x[tap], out=nxt)
+        np.maximum(best, (nxt > run) * offset, out=best)
         run, nxt = nxt, run
-    indices = best + _window_starts(h, w, oh, ow, sh, sw)
-    indices += np.arange(0, x.size, h * w).reshape(n, c, 1, 1)
+    indices = best + starts
+    indices += planes
     return x.take(indices), indices
 
 

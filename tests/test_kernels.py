@@ -303,6 +303,66 @@ class TestConvChunks:
             np.testing.assert_allclose(got, wg, rtol=0, atol=1e-12, err_msg=name)
 
 
+class TestConvGeometry:
+    """A one-image forward gathers its patches through the spec's cached
+    index; a batch copies them tap by tap. Both give the same bits."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_single_images_equal_batch_rows(self, data):
+        def draw(lo, hi):
+            return data.draw(st.integers(lo, hi))
+        # g == c_in is depthwise; padding up to the kernel size and strides
+        # above it leave some taps wholly in the padding
+        g = data.draw(st.sampled_from([1, 2, 3]))
+        kh, kw = draw(1, 5), draw(1, 5)
+        ph, pw = draw(0, kh), draw(0, kw)
+        spec = ConvSpec(g * draw(1, 2), g * draw(1, 2), (kh, kw), (draw(1, 3), draw(1, 3)),
+                        (ph, pw), g)
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        r = rng(draw(0, 2**16))
+        x = r.standard_normal((draw(2, 3), spec.c_in, draw(max(1, kh - 2 * ph), 8),
+                               draw(max(1, kw - 2 * pw), 8))).astype(dtype)
+        w = r.standard_normal(spec.weight_shape()).astype(dtype)
+        b = r.standard_normal(spec.c_out).astype(dtype)
+        batch = K.conv2d_forward(x, w, b, spec)
+        for i in range(len(x)):
+            one = K.conv2d_forward(x[i:i + 1], w, b, spec)
+            assert one.dtype == batch.dtype and one.shape == batch[i:i + 1].shape
+            assert one.tobytes() == batch[i:i + 1].tobytes()
+        np.testing.assert_allclose(
+            one, naive_conv2d(x[-1:], w, b, spec.stride, spec.padding, spec.groups),
+            rtol=0, atol=1e-4 if dtype == np.float32 else 1e-12)
+
+    def test_one_record_per_input_size(self):
+        spec = ConvSpec(2, 3, (3, 3), (2, 2), (1, 1))
+        w, b = np.ones(spec.weight_shape()), np.zeros(3)
+        for hw in ((5, 6), (8, 8), (5, 6)):
+            K.conv2d_forward(np.ones((1, 2, *hw)), w, b, spec)
+        small, large = spec.geometry(5, 6), spec.geometry(8, 8)
+        assert small is not large and spec.geometry(5, 6) is small
+        assert (small.oh, small.ow, large.oh, large.ow) == (3, 3, 4, 4)
+        assert sorted(spec._geometries) == [(5, 6), (8, 8)]
+
+    def test_patch_bytes_set_after_a_warm_call_still_chunks(self, monkeypatch):
+        spec = ConvSpec(3, 4, (3, 3), padding=(1, 1))
+        x = rng(0).standard_normal((3, 3, 6, 6))
+        w, b = rng(1).standard_normal(spec.weight_shape()), np.zeros(4)
+        whole = K.conv2d_forward(x, w, b, spec)   # makes the record
+        seen = []
+        im2col = K._im2col
+
+        def spy(xc, *args, **kwargs):
+            seen.append(len(xc))
+            return im2col(xc, *args, **kwargs)
+
+        monkeypatch.setattr(K, "_im2col", spy)
+        monkeypatch.setattr(K, "PATCH_BYTES", spec.geometry(6, 6).elems * 8)
+        chunked = K.conv2d_forward(x, w, b, spec)
+        assert seen == [1, 1, 1]
+        assert chunked.tobytes() == whole.tobytes()
+
+
 class TestConvWithoutInputGrad:
     """``input_grad=False`` returns None for the input gradient and the
     weight and bias gradients of the full backward, byte for byte."""
@@ -362,7 +422,7 @@ class TestConvOracles:
     def test_pointwise_patches_are_a_view(self):
         x = rng(0).standard_normal((2, 4, 3, 5))
         spec = ConvSpec(4, 6, groups=2)
-        cols = K._im2col(x, spec, 3, 5)
+        cols = K._im2col(x, spec.geometry(3, 5))
         assert cols.shape == (2, 2, 2, 15)
         assert np.shares_memory(cols, x)
 
@@ -407,8 +467,7 @@ class TestConvOracles:
         # rows (cols) -3..-1 and output 1 reads 0..2, so only tap (0, 0) of
         # output (1, 1) reaches the single pixel.
         spec = ConvSpec(1, 1, (3, 3), (3, 3), (3, 3))
-        assert [t[:2] for t in K._taps(1, 1, 2, 2, spec.kernel, spec.stride,
-                                       spec.padding)] == [(0, 0)]
+        assert [t[:2] for t in spec.geometry(1, 1).taps] == [(0, 0)]
         check_conv_oracles(rng(0).standard_normal((2, 1, 1, 1)), spec, seed=1)
 
 
@@ -518,9 +577,11 @@ class TestMaxPool:
         np.testing.assert_array_equal(idx, want_idx)
 
     def test_cached_window_starts_are_read_only(self):
-        K.maxpool2d_forward(np.zeros((1, 1, 6, 6)), (2, 2), (2, 2))
-        with pytest.raises(ValueError):
-            K._window_starts(6, 6, 3, 3, 2, 2)[0, 0] = 1
+        K.maxpool2d_forward(np.zeros((2, 3, 6, 6)), (2, 2), (2, 2))
+        *_, window_starts, plane_starts = K._pool_geometry(2, 3, 6, 6, 2, 2, 2, 2)
+        for starts in (window_starts, plane_starts):
+            with pytest.raises(ValueError):
+                starts[0, 0] = 1
 
 
 class TestUnpool:

@@ -25,6 +25,7 @@ from vacnet.complexity import count_mult_adds
 from vacnet.kernels import ConvSpec, NonFiniteError, ShapeError
 from vacnet.netbuilder import FormatError, ParseError
 from vacnet.pepe import PepeConfig
+from vacnet.trainer import Dataset, TrainConfig, train
 from vacnet.vac import VacConfig
 
 TINY = """\
@@ -637,11 +638,13 @@ def leaf_blocks(net):
 
 
 def assert_batch_invariant(net, n):
-    """``net.predict`` of an n-image batch equals, byte for byte, the rows
-    it gives each image alone."""
+    """``net.predict`` and ``net.forward`` of an n-image batch each equal,
+    byte for byte, the rows they give each image alone, whose convs gather
+    their patches where a batch's copy them tap by tap."""
     x = np.random.default_rng(n).random((n, *net.spec.input_shape))
-    rows = np.concatenate([net.predict(x[i:i + 1]) for i in range(n)])
-    assert net.predict(x).tobytes() == rows.tobytes()
+    for run in (net.predict, net.forward):
+        rows = np.concatenate([run(x[i:i + 1]) for i in range(n)])
+        assert run(x).tobytes() == rows.tobytes(), run.__name__
 
 
 class TestPredict:
@@ -737,6 +740,28 @@ class TestPredict:
         if int8:
             net = quant.quantize_weights(net)
         assert_batch_invariant(net, n)
+
+    @pytest.mark.parametrize("int8", [False, True])
+    def test_one_image_passes_see_trained_weights(self, int8):
+        # A network warmed at one image, then trained, infers as a fresh
+        # network holding the trained parameters: no weight cache outlives
+        # the in-place SGD step.
+        spec = nb.reference_spec("attendnet-micro-a")
+        net = nb.compile_spec(spec, seed=1)
+        if int8:
+            net = quant.quantize_weights(net)
+        r = np.random.default_rng(2)
+        x = r.random((1, *spec.input_shape))
+        warm = net.forward(x), net.predict(x)
+        data = Dataset(r.random((4, *spec.input_shape)), r.integers(0, 10, 4))
+        train(net, data, TrainConfig(lr=0.5, batch_size=4, epochs=1, seed=3))
+        fresh = nb.compile_spec(spec, seed=None)
+        for (_, arr), (_, trained) in zip(fresh.parameters(), net.parameters()):
+            arr[...] = trained
+        for run, before in zip(("forward", "predict"), warm):
+            got = getattr(net, run)(x)
+            assert got.tobytes() == getattr(fresh, run)(x).tobytes(), run
+            assert got.tobytes() != before.tobytes(), run
 
     # 1 and 2 are every thread count _predict_threads chooses
     @pytest.mark.parametrize("threads", [1, 2])
