@@ -13,10 +13,11 @@ as its window's first tap. Its backward is the unpool scatter:
 so a tracer times each apart.
 A conv unfolds its im2col patches one chunk of whole images at a time, at
 most ``PATCH_BYTES`` of them (at least one image), so they are still in L2
-when their products are formed. ``conv2d_backward``, and ``conv2d_forward``
-when a batch takes more than one chunk, unfold into a per-thread scratch
-array that never grows past one chunk's patches; nothing returned aliases it.
-A one-image forward unfolds with one gather, not a copy per tap. Each
+when their products are formed. Every unfold works in a per-thread scratch
+array, the workspace, and nothing returned aliases it. ``conv2d_backward``,
+and ``conv2d_forward`` when a batch takes more than one chunk, copy each
+chunk's patches into it tap by tap; a one-chunk forward copies its images
+into zero-ended planes there and gathers every patch with one ``take``. Each
 image's GEMM is its own, so no output depends on the chunking or the unfold.
 Conv and pool shape work is done once per layer and input size, on first use.
 A ``ConvSpec`` checks its channels, kernel, stride, padding and groups when
@@ -224,12 +225,13 @@ _scratch = threading.local()
 
 def _workspace(shape, dtype):
     """A view of this thread's scratch array, grown to the largest request so
-    far; it holds whatever the last user left in it."""
-    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    far (one chunk's patches or planes); it holds whatever the last user
+    left in it."""
+    nbytes = math.prod(shape) * dtype.itemsize
     buf = getattr(_scratch, "buf", None)
     if buf is None or buf.size < nbytes:
         buf = _scratch.buf = np.empty(nbytes, dtype=np.uint8)
-    return buf[:nbytes].view(dtype).reshape(shape)
+    return np.ndarray(shape, dtype, buffer=buf)
 
 
 def _im2col(x, geo, scratch=False):
@@ -238,31 +240,28 @@ def _im2col(x, geo, scratch=False):
 
     Row (c, i, j) of group g is input channel g*(c_in/g) + c at tap (i, j), so
     W.reshape(g, og, -1) @ cols is NCHW already. A 1x1/s1/p0 conv on a
-    contiguous input needs no copy: the reshape is a view of x. One image is
-    gathered by one ``take`` through ``geo.index`` from its planes, each ended
-    by a zero that the padding reads; a batch is unfolded by one strided copy
-    per tap from the unpadded x. ``scratch`` fills the thread's workspace
-    instead of a new array: the backward always does, the forward only when
-    its batch takes more than one chunk, as a one-chunk batch runs no faster
-    through the workspace.
+    contiguous input needs no copy: the reshape is a view of x. Any other
+    unfold works in the thread's workspace. With ``scratch``, as the backward
+    and a multi-chunk forward ask, the patches are copied there, one strided
+    copy per tap from the unpadded x, and returned in place. Without it, as
+    a one-chunk forward asks, x's planes are copied there, each ended by a
+    zero that the padding reads, and one ``take`` through ``geo.index``
+    gathers every patch into a new array.
     """
     n, c, h, w = x.shape
     if geo.taps is None:
         return x.reshape(n, geo.groups, -1, geo.oh * geo.ow)
-    if n == 1 and not scratch:
-        plane = np.zeros((1, c, h * w + 1), dtype=x.dtype)
-        plane[:, :, :-1] = x.reshape(1, c, h * w)
-        cols = plane.take(geo.index, axis=2)
-    else:
-        shape = (n, *geo.cols_shape)
-        if scratch:
-            cols = _workspace(shape, x.dtype)
-            if geo.padded:
-                cols.fill(0)
-        else:
-            cols = (np.zeros if geo.padded else np.empty)(shape, dtype=x.dtype)
+    if scratch:
+        cols = _workspace((n, *geo.cols_shape), x.dtype)
+        if geo.padded:
+            cols.fill(0)
         for i, j, ro, co, ri, ci in geo.taps:
             cols[:, :, i, j, ro, co] = x[:, :, ri, ci]
+    else:
+        plane = _workspace((n, c, h * w + 1), x.dtype)
+        plane[..., -1] = 0
+        plane[..., :-1] = x.reshape(n, c, h * w)
+        cols = plane.take(geo.index, axis=2)
     return cols.reshape(n, geo.groups, -1, geo.oh * geo.ow)
 
 

@@ -373,11 +373,20 @@ class Block:
         return out
 
     def predict(self, x):
-        """The same forward in ``x``'s dtype, its cache dropped: on ``p``
-        itself at float64, on float32 copies of ``p`` at float32."""
-        p = self.p if x.dtype == np.float64 else {
-            name: arr.astype(np.float32) for name, arr in self.p.items()}
-        return globals()[f"{self.kind}_forward"](x, p, self.layer)[0]
+        """The same forward on ``p``, its cache dropped."""
+        return globals()[f"{self.kind}_forward"](x, self.p, self.layer)[0]
+
+    def cast(self, dtype):
+        """A copy on ``dtype`` copies of ``p``. Under ``np.errstate(over="raise")``
+        a parameter that overflows ``dtype`` raises NonFiniteError naming it."""
+        r = copy.copy(self)
+        r.p = {}
+        for name, arr in self.p.items():
+            try:
+                r.p[name] = arr.astype(dtype)
+            except FloatingPointError:
+                raise K.NonFiniteError(f"parameter {name} overflows {np.dtype(dtype)}") from None
+        return r
 
     def backward(self, grad, input_grad=True):
         gx, self.grads = globals()[f"{self.kind}_backward"](grad, self._cache, self.p,
@@ -411,6 +420,12 @@ class ResidualBlock:
     def predict(self, x):
         return x + _chain(self.children, "predict", x)
 
+    def cast(self, dtype):
+        """A copy on its children's ``cast(dtype)``, named as ``_chain`` names them."""
+        r = copy.copy(self)
+        r.children = _cast(self.children, dtype)
+        return r
+
     def backward(self, grad, input_grad=True):
         g = _backward(self.children, grad, input_grad)
         self.grads = dict(_named(self.children, lambda c: c.grads.items()))
@@ -434,6 +449,23 @@ def _chain(blocks, method, x):
             x = getattr(b, method)(x)
         except K.NonFiniteError as e:
             raise K.NonFiniteError(f"block {i} ({b.kind}): {e}") from e
+    return x
+
+
+def _cast(blocks, dtype):
+    """Each block's ``cast(dtype)``; a NonFiniteError is named as in ``_chain``."""
+    cast = []
+    for i, b in enumerate(blocks):
+        try:
+            cast.append(b.cast(dtype))
+        except K.NonFiniteError as e:
+            raise K.NonFiniteError(f"block {i} ({b.kind}): {e}") from e
+    return cast
+
+
+def _run(blocks, method, x):
+    x = _chain(blocks, method, x)
+    K.check_finite(x, "network output")
     return x
 
 
@@ -564,31 +596,32 @@ class Network:
         """The blocks' cache-free pass in ``dtype``, leaving every
         ``loss_and_backward`` state as it was.
 
-        The batch shape is checked once; then at most ``PREDICT_CHUNK``
-        images at a time are cast and run through the blocks, so that each
-        transient is a chunk's size, not the batch's. A batch of more than
-        one chunk is shared by this thread and ``PREDICT_THREADS - 1``
-        helper threads (at most one, see ``_predict_threads``), each running
-        whole chunks; a one-chunk batch, or any batch when
-        ``PREDICT_THREADS`` is 1, runs on this thread alone.
+        The batch shape is checked once, and at float32 the parameters are
+        cast once, for every chunk; one that overflows float32 raises
+        NonFiniteError naming its block and itself. Then at most
+        ``PREDICT_CHUNK`` images at a time are cast and run through the
+        blocks, so that each transient is a chunk's size, not the batch's.
+        A batch of more than one chunk is shared by this thread and
+        ``PREDICT_THREADS - 1`` helper threads (at most one, see
+        ``_predict_threads``), each running whole chunks; a one-chunk batch,
+        or any batch when ``PREDICT_THREADS`` is 1, runs on this thread alone.
         No block mixes images, and ``fc`` forms each row on its own, so an
         image's probabilities do not depend on the batch, chunk or thread
         it shares. If chunks fail, the lowest one's error is raised."""
         x = self._checked(np.asarray(x))
+        blocks = self.blocks
+        if dtype != np.float64:
+            with np.errstate(over="raise"):
+                blocks = _cast(blocks, dtype)
         chunks = [x[i:i + PREDICT_CHUNK] for i in range(0, len(x), PREDICT_CHUNK)]
         return np.concatenate(_map_chunks(
-            lambda c: self._run(np.asarray(c, dtype=dtype), "predict"), chunks))
+            lambda c: _run(blocks, "predict", np.asarray(c, dtype=dtype)), chunks))
 
     def _checked(self, x):
         c, h, w = self.spec.input_shape
         if x.ndim != 4 or x.shape[1:] != (c, h, w) or not len(x):
             raise ShapeError(f"batch shape {x.shape} does not match "
                              f"network input (n, {c}, {h}, {w})")
-        return x
-
-    def _run(self, x, method):
-        x = _chain(self.blocks, method, x)
-        K.check_finite(x, "network output")
         return x
 
     def loss_and_backward(self, x, labels, batch=None):
@@ -599,7 +632,7 @@ class Network:
         none. Given ``batch``, the images are part of a batch of that many,
         and the grads are those of their summed loss over ``batch``: the
         sub-batches' grads add up to the whole batch's."""
-        probs = self._run(self._checked(np.asarray(x, dtype=np.float64)), "forward")
+        probs = _run(self.blocks, "forward", self._checked(np.asarray(x, dtype=np.float64)))
         grad = K.softmax_xent_backward(probs, labels, batch)
         _backward(self.blocks[:-1], grad, False)  # softmax gradient is fused above
         return probs

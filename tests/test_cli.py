@@ -161,8 +161,8 @@ class TestExitCodes:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_output_exit_3(self, tmp_path, capsys):
-        # 1e300 is finite, so the model loads; eval's float32 cast of it is
-        # not, and the first non-finite value appears after the last block
+        # 1e300 is finite, so the model loads; eval's float32 cast of it
+        # overflows, and the error names the block and the parameter
         path = tmp_path / "m.acnk"
         net = nb.compile_spec(nb.parse_dsl(SPEC_TEXT), seed=0)
         net.blocks[3].p["w"][...] = 1e300  # fc
@@ -170,7 +170,7 @@ class TestExitCodes:
         img, lab = write_idx_pair(tmp_path)
         code = cli.main(["eval", "--model", str(path), "--data", img, "--labels", lab])
         assert code == 3
-        assert capsys.readouterr().err == "error: network output contains non-finite values\n"
+        assert capsys.readouterr().err == "error: block 3 (fc): parameter w overflows float32\n"
 
     @pytest.mark.parametrize("word", [b"\xff\xfe\xfd\xfc", b"cnov"])  # not UTF-8; no parse
     def test_bad_spec_text_exit_3(self, tmp_path, capsys, word):

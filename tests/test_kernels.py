@@ -135,8 +135,9 @@ class TestConvBackward:
 
 
 class TestConvWorkspace:
-    """conv2d_backward keeps its patches and column gradient in one per-thread
-    scratch array; nothing it returns may alias that array or its input."""
+    """conv2d_forward keeps its planes or patches, and conv2d_backward its
+    patches and column gradient, in one per-thread scratch array; nothing
+    either returns may alias that array or its input."""
 
     @staticmethod
     def case(spec, shape, seed):
@@ -185,33 +186,43 @@ class TestConvWorkspace:
         ConvSpec(4, 6),
     ])
     def test_outputs_survive_next_call(self, spec):
-        first = self.case(spec, (2, 4, 7, 7), 1)
+        # a one-chunk forward, then the backward, then both again on other
+        # inputs, all on this thread
+        b = np.ones(spec.c_out)
+        first, second = self.case(spec, (2, 4, 7, 7), 1), self.case(spec, (2, 4, 7, 7), 2)
         x_before = first[1].copy()
-        outs = K.conv2d_backward(*first)
+        outs = [K.conv2d_forward(first[1], first[2], b, spec), *K.conv2d_backward(*first)]
         kept = [o.copy() for o in outs]
-        K.conv2d_backward(*self.case(spec, (2, 4, 7, 7), 2))
+        K.conv2d_forward(second[1], second[2], b, spec)
+        K.conv2d_backward(*second)
         for o, k in zip(outs, kept):
             np.testing.assert_array_equal(o, k)
         np.testing.assert_array_equal(first[1], x_before)
 
     def test_threads_match_serial_run(self):
         # more threads than cores, each with its own conv shape, so a buffer
-        # shared between threads would be overwritten mid-call
+        # shared between threads would be overwritten mid-call; each thread
+        # runs one-chunk forwards, which gather from planes, and backwards
         specs = [(ConvSpec(4, 8, kernel=(3, 3), padding=(1, 1)), (4, 4, 12, 12)),
                  (ConvSpec(6, 6, kernel=(3, 3), stride=(2, 2), groups=3), (3, 6, 9, 9)),
                  (ConvSpec(3, 3, kernel=(3, 3), padding=(1, 1), groups=3), (5, 3, 10, 10)),
                  (ConvSpec(2, 4, kernel=(2, 2), stride=(2, 2)), (6, 2, 8, 8))]
         cases = [[self.case(spec, shape, 3 * t + s) for s in range(3)]
                  for t, (spec, shape) in enumerate(specs)]
-        serial = [[K.conv2d_backward(*c) for c in cs] for cs in cases]
+
+        def both(gout, x, w, spec):
+            y = K.conv2d_forward(x, w, gout[0, :, 0, 0], spec)
+            return (y, *K.conv2d_backward(gout, x, w, spec))
+
+        serial = [[both(*c) for c in cs] for cs in cases]
         start = threading.Barrier(len(specs))
         done = [0] * len(specs)
 
         def run(t):
             start.wait()
             for i in range(200):
-                got = K.conv2d_backward(*cases[t][i % 3])
-                if not all(np.array_equal(g, w) for g, w in zip(got, serial[t][i % 3])):
+                got = both(*cases[t][i % 3])
+                if not all(g.tobytes() == w.tobytes() for g, w in zip(got, serial[t][i % 3])):
                     return
                 done[t] += 1
 
@@ -304,12 +315,13 @@ class TestConvChunks:
 
 
 class TestConvGeometry:
-    """A one-image forward gathers its patches through the spec's cached
-    index; a batch copies them tap by tap. Both give the same bits."""
+    """A one-chunk forward gathers its patches through the geometry's cached
+    index; a multi-chunk forward copies them tap by tap into the workspace.
+    Both give the same bits."""
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
-    def test_single_images_equal_batch_rows(self, data):
+    def test_gathers_equal_tap_copies(self, data):
         def draw(lo, hi):
             return data.draw(st.integers(lo, hi))
         # g == c_in is depthwise; padding up to the kernel size and strides
@@ -325,13 +337,29 @@ class TestConvGeometry:
                                draw(max(1, kw - 2 * pw), 8))).astype(dtype)
         w = r.standard_normal(spec.weight_shape()).astype(dtype)
         b = r.standard_normal(spec.c_out).astype(dtype)
-        batch = K.conv2d_forward(x, w, b, spec)
-        for i in range(len(x)):
-            one = K.conv2d_forward(x[i:i + 1], w, b, spec)
-            assert one.dtype == batch.dtype and one.shape == batch[i:i + 1].shape
-            assert one.tobytes() == batch[i:i + 1].tobytes()
+        # the batch of 2 or 3 and each of its images, gathered in one chunk
+        gathered = [K.conv2d_forward(x, w, b, spec)]
+        gathered += [K.conv2d_forward(x[i:i + 1], w, b, spec) for i in range(len(x))]
+        # the batch again, one image per chunk: the workspace tap copies
+        scratch = []
+        im2col = K._im2col
+
+        def spy(xc, *args, **kwargs):
+            scratch.append(kwargs.get("scratch", False))
+            return im2col(xc, *args, **kwargs)
+
+        geo = spec.geometry(*x.shape[2:])
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(K, "_im2col", spy)
+            m.setattr(K, "PATCH_BYTES", geo.elems * x.itemsize)
+            tapped = K.conv2d_forward(x, w, b, spec)
+        assert all(scratch) == (geo.taps is not None) and len(scratch) >= 1
+        for i, got in enumerate(gathered):
+            want = tapped if i == 0 else tapped[i - 1:i]
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
         np.testing.assert_allclose(
-            one, naive_conv2d(x[-1:], w, b, spec.stride, spec.padding, spec.groups),
+            tapped, naive_conv2d(x, w, b, spec.stride, spec.padding, spec.groups),
             rtol=0, atol=1e-4 if dtype == np.float32 else 1e-12)
 
     def test_one_record_per_input_size(self):

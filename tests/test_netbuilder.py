@@ -703,6 +703,18 @@ class TestPredict:
         with pytest.raises(NonFiniteError, match=r"block 1 \(vac\): vac input"):
             net.predict(x)
 
+    def test_parameter_that_overflows_float32_is_named(self):
+        # 1e300 is a finite float64, so forward runs; predict's cast of it
+        # overflows before any chunk runs
+        spec = nb.reference_spec("attendnet-micro-a")
+        net = nb.compile_spec(spec, seed=0)
+        net.blocks[5].children[0].p["proj2_b"][1] = -1e300
+        x = np.zeros((40, *spec.input_shape))
+        assert np.isfinite(net.forward(x)).all()
+        with pytest.raises(NonFiniteError, match=r"^block 5 \(res\): block 0 \(pepe\): "
+                                                 r"parameter proj2_b overflows float32$"):
+            net.predict(x)
+
     @pytest.mark.parametrize("shape", [
         (), (28,), (28, 28), (1, 28, 28), (1, 1, 1, 28, 28),  # rank 0-3 and 5
         (1, 3, 28, 28), (70, 3, 28, 28), (1, 1, 27, 28), (70, 1, 28, 27),
@@ -764,6 +776,22 @@ class TestPredict:
             assert got.tobytes() != before.tobytes(), run
 
     # 1 and 2 are every thread count _predict_threads chooses
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_multi_chunk_predict_sees_in_place_writes(self, threads, monkeypatch):
+        # predict casts the parameters to float32 once per call, for all its
+        # chunks; no cast may outlive the call
+        use_threads(monkeypatch, threads)
+        spec = nb.reference_spec("attendnet-micro-a")
+        net, fresh = nb.compile_spec(spec, seed=1), nb.compile_spec(spec, seed=1)
+        x = np.random.default_rng(4).random((256, *spec.input_shape))
+        before = net.predict(x)
+        new = np.random.default_rng(5).uniform(-1, 1, net.blocks[0].p["w"].shape)
+        net.blocks[0].p["w"][...] = new
+        fresh.blocks[0].p["w"][...] = new
+        got = net.predict(x)
+        assert got.tobytes() == fresh.predict(x).tobytes()
+        assert got.tobytes() != before.tobytes()
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_int8_batch_256_peaks_at_a_chunk(self, threads, monkeypatch):
         # run whole, this batch peaked at 13.05 MiB of float32 transients; two
