@@ -359,18 +359,20 @@ def softmax_forward(x, p, layer):
 class Block:
     """One compiled layer: its parameters ``p`` and the module-level
     ``<kind>_forward``/``<kind>_backward`` pair, looked up on every call so
-    that a wrapper installed on this module's attribute sees each pass."""
+    that a wrapper installed on this module's attribute sees each pass. A
+    block keeps no pass state: ``forward`` returns the cache that its
+    ``backward`` reads, and ``backward`` returns the gradients."""
 
     def __init__(self, layer, rng):
         self.layer = layer
         self.kind = layer.kind
         self.p = layer.init_params(rng)
-        self.grads = {}
-        self._cache = None
 
-    def forward(self, x):
-        out, self._cache = globals()[f"{self.kind}_forward"](x, self.p, self.layer)
-        return out
+    def forward(self, x, old=None):
+        """``(out, cache)``. ``old``, the cache in this block's tape slot,
+        is not read; a residual group's ``forward`` takes its nested tape
+        there."""
+        return globals()[f"{self.kind}_forward"](x, self.p, self.layer)
 
     def predict(self, x):
         """The same forward on ``p``, its cache dropped."""
@@ -388,34 +390,26 @@ class Block:
                 raise K.NonFiniteError(f"parameter {name} overflows {np.dtype(dtype)}") from None
         return r
 
-    def backward(self, grad, input_grad=True):
-        gx, self.grads = globals()[f"{self.kind}_backward"](grad, self._cache, self.p,
-                                                            self.layer, input_grad)
-        return gx
-
-    def clear_forward_state(self):
-        self._cache = None
-
-    def replica(self):
-        """A copy whose ``p`` is this block's (the same arrays), with its own
-        cache and gradients, so that another thread can run it."""
-        r = copy.copy(self)
-        r._cache, r.grads = None, {}
-        return r
+    def backward(self, grad, cache, input_grad=True):
+        """``(grad_input, grads)``, the gradients listed in ``p``'s order."""
+        gx, grads = globals()[f"{self.kind}_backward"](grad, cache, self.p, self.layer,
+                                                       input_grad)
+        return gx, list(grads.values())
 
 
 class ResidualBlock:
-    """The body's blocks plus the identity shortcut; ``p`` and ``grads`` hold
-    the body's entries under ``index.kind.name``."""
+    """The body's blocks plus the identity shortcut; ``p`` holds the body's
+    entries under ``index.kind.name``. Its tape slot is a nested tape, one
+    slot per body block."""
     kind = "res"
 
     def __init__(self, group, rng):
         self.children = [_compile_layer(l, rng) for l in group.body]
         self.p = dict(_named(self.children, lambda c: c.p.items()))
-        self.grads = {}
 
-    def forward(self, x):
-        return x + _chain(self.children, "forward", x)
+    def forward(self, x, tape=None):
+        y, tape = _record(self.children, x, tape)
+        return x + y, tape
 
     def predict(self, x):
         return x + _chain(self.children, "predict", x)
@@ -426,19 +420,9 @@ class ResidualBlock:
         r.children = _cast(self.children, dtype)
         return r
 
-    def backward(self, grad, input_grad=True):
-        g = _backward(self.children, grad, input_grad)
-        self.grads = dict(_named(self.children, lambda c: c.grads.items()))
-        return grad + g if input_grad else None
-
-    def clear_forward_state(self):
-        for c in self.children:
-            c.clear_forward_state()
-
-    def replica(self):
-        r = copy.copy(self)
-        r.children, r.grads = [c.replica() for c in self.children], {}
-        return r
+    def backward(self, grad, tape, input_grad=True):
+        g, grads = _backward(self.children, tape, grad, input_grad)
+        return grad + g if input_grad else None, grads
 
 
 def _chain(blocks, method, x):
@@ -450,6 +434,22 @@ def _chain(blocks, method, x):
         except K.NonFiniteError as e:
             raise K.NonFiniteError(f"block {i} ({b.kind}): {e}") from e
     return x
+
+
+def _record(blocks, x, tape):
+    """``(out, tape)``: ``x`` through each block's caching ``forward``, whose
+    cache replaces the block's slot of ``tape`` only once it exists, so a
+    kept tape frees each old cache as the new one takes its place. A tape of
+    None is a fresh one; a short one gains empty slots. A NonFiniteError is
+    named as in ``_chain``."""
+    tape = [] if tape is None else tape
+    tape.extend([None] * (len(blocks) - len(tape)))
+    for i, b in enumerate(blocks):
+        try:
+            x, tape[i] = b.forward(x, tape[i])
+        except K.NonFiniteError as e:
+            raise K.NonFiniteError(f"block {i} ({b.kind}): {e}") from e
+    return x, tape
 
 
 def _cast(blocks, dtype):
@@ -469,12 +469,15 @@ def _run(blocks, method, x):
     return x
 
 
-def _backward(blocks, grad, input_grad):
-    """``grad`` back through ``blocks``, last first. The first block forms
-    an input gradient only when ``input_grad`` asks for one."""
-    for b in reversed(blocks[1:]):
-        grad = b.backward(grad)
-    return blocks[0].backward(grad, input_grad)
+def _backward(blocks, tape, grad, input_grad):
+    """``(grad_input, grads)``: ``grad`` back through ``blocks``, last first,
+    each reading its cache from its slot of ``tape``, and the blocks'
+    gradients in parameter order. The first block forms an input gradient
+    only when ``input_grad`` asks for one."""
+    grads = [None] * len(blocks)
+    for i in range(len(blocks) - 1, -1, -1):
+        grad, grads[i] = blocks[i].backward(grad, tape[i], input_grad or i > 0)
+    return grad, [g for block_grads in grads for g in block_grads]
 
 
 def _named(blocks, items):
@@ -576,9 +579,6 @@ class Network:
         """All (qualified_name, array) pairs in deterministic order."""
         return _named(self.blocks, lambda b: b.p.items())
 
-    def gradients(self):
-        return _named(self.blocks, lambda b: b.grads.items())
-
     def param_count(self):
         return sum(arr.size for _, arr in self.parameters())
 
@@ -593,8 +593,7 @@ class Network:
         return self._infer(x, np.float32)
 
     def _infer(self, x, dtype):
-        """The blocks' cache-free pass in ``dtype``, leaving every
-        ``loss_and_backward`` state as it was.
+        """The blocks' cache-free pass in ``dtype``.
 
         The batch shape is checked once, and at float32 the parameters are
         cast once, for every chunk; one that overflows float32 raises
@@ -624,30 +623,28 @@ class Network:
                              f"network input (n, {c}, {h}, {w})")
         return x
 
-    def loss_and_backward(self, x, labels, batch=None):
-        """The training pass: the float64 forward of ``x``, each block
-        caching what its backward needs, then the gradients of the mean
-        cross-entropy, left in the blocks' grads. Returns the probabilities.
-        Nothing reads the network's input gradient, so the first block forms
-        none. Given ``batch``, the images are part of a batch of that many,
-        and the grads are those of their summed loss over ``batch``: the
-        sub-batches' grads add up to the whole batch's."""
-        probs = _run(self.blocks, "forward", self._checked(np.asarray(x, dtype=np.float64)))
+    def loss_and_backward(self, x, labels, batch=None, tape=None):
+        """The training pass: the float64 forward of ``x``, each block's cache
+        written to ``tape``, then the backward of the mean cross-entropy,
+        which reads them. Returns ``(probs, grads)``, the gradients listed in
+        ``parameters()`` order. Nothing reads the network's input gradient,
+        so the first block forms none. Given ``batch``, the images are part
+        of a batch of that many, and the grads are those of their summed loss
+        over ``batch``: the sub-batches' grads add up to the whole batch's.
+
+        The network keeps nothing of the pass, so threads may run it at once,
+        each on its own tape: the caller's list, which the pass fills with
+        one slot per block, a residual group's slot a nested tape. Each slot
+        is replaced by this pass's cache only once that exists. A tape of
+        None is a fresh one, dropped at return; a kept tape holds the last
+        pass's caches between calls, and so spares the heap freeing and
+        faulting them in again."""
+        probs, tape = _record(self.blocks, self._checked(np.asarray(x, dtype=np.float64)),
+                              tape)
+        K.check_finite(probs, "network output")
         grad = K.softmax_xent_backward(probs, labels, batch)
-        _backward(self.blocks[:-1], grad, False)  # softmax gradient is fused above
-        return probs
-
-    def clear_forward_state(self):
-        """Drop every block's cache; the parameters and gradients stay."""
-        for b in self.blocks:
-            b.clear_forward_state()
-
-    def replica(self):
-        """A network on this one's parameter arrays whose blocks keep their
-        own caches and gradients, so that two threads can train at once."""
-        r = copy.copy(self)
-        r.blocks = [b.replica() for b in self.blocks]
-        return r
+        # softmax, the last block, has its gradient fused with the loss's above
+        return probs, _backward(self.blocks[:-1], tape, grad, False)[1]
 
 
 def compile_spec(spec, seed=0):

@@ -129,12 +129,12 @@ def load_cifar10(*batch_paths):
     return Dataset(np.concatenate(images), np.concatenate(labels))
 
 
-def _sgd_step(net, velocities, lr, momentum):
-    grads = dict(net.gradients())
-    for name, param in net.parameters():
-        v = velocities[name]
+def _sgd_step(net, grads, velocities, lr, momentum):
+    """One momentum step on each parameter, from ``grads`` and
+    ``velocities``, both listed in ``parameters()`` order."""
+    for (_, param), g, v in zip(net.parameters(), grads, velocities):
         v *= momentum
-        v += grads[name]
+        v += g
         param -= lr * v
 
 
@@ -153,50 +153,24 @@ def train(net, dataset, config):
     Each epoch visits the images in a fresh permutation from numpy's PCG64
     generator seeded with config.seed, so runs reproduce bitwise. A batch of
     n >= 2 images runs as two sub-batches, its first ceil(n/2) images and
-    its last floor(n/2), each through ``loss_and_backward`` on its own
-    replica: the network itself and one ``Network.replica``. They are
-    shared by this thread and ``predict``'s helper, by ``predict``'s rule
+    its last floor(n/2), each through ``loss_and_backward`` on the network,
+    shared by this thread and ``predict``'s helper by ``predict``'s rule
     (``netbuilder.PREDICT_THREADS``). The split depends only on n, and the
     sub-batch gradients are summed in sub-batch order, so the trained bits
-    do not depend on the thread count. The network's int8 blobs are
-    dropped, since training moves the weights away from them. The network
-    and its replica end, also after a failed run, holding no forward state:
-    the last step's caches describe weights that have since moved.
+    do not depend on the thread count. Each sub-batch has its own tape,
+    kept for the whole run: a step's caches replace the last step's one by
+    one, where tapes made per call would free every cache at each return
+    and fault the heap back in at the next step. The tapes die with the
+    call, so the network ends, also after a failed run, holding no state
+    of the run, whose last caches describe weights that have since moved.
+    The network's int8 blobs are dropped, since training moves the weights
+    away from them.
     """
     _check_dataset(net, dataset, "train on")
     net.blobs.clear()
-    replicas = [net, net.replica()]  # one per sub-batch
-    try:
-        return _train_epochs(replicas, dataset, config)
-    finally:
-        for r in replicas:
-            r.clear_forward_state()
-
-
-def _batch_gradients(replicas, x, labels):
-    """The batch's probabilities, with the gradients of its mean loss left in
-    ``replicas[0]``: each sub-batch's loss gradient divides by the whole n,
-    and the second sub-batch's gradients are added to the first's. If
-    sub-batches fail, the first failing one's error is raised."""
-    n, half = len(x), (len(x) + 1) // 2
-    parts = [(r, slice(lo, hi)) for r, lo, hi in zip(replicas, (0, half), (half, n))
-             if lo < hi]
-
-    def run(part):
-        r, rows = part
-        return r.loss_and_backward(x[rows], labels[rows], n)
-
-    probs = np.concatenate(netbuilder._map_chunks(run, parts))
-    if len(parts) == 2:
-        for (_, g0), (_, g1) in zip(*(r.gradients() for r in replicas)):
-            g0 += g1
-    return probs
-
-
-def _train_epochs(replicas, dataset, config):
-    net = replicas[0]
+    tapes = [], []  # one per sub-batch, filled by its first pass
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    velocities = {name: np.zeros_like(arr) for name, arr in net.parameters()}
+    velocities = [np.zeros_like(arr) for _, arr in net.parameters()]
     report = TrainReport()
     step = 0
     for epoch in range(config.epochs):
@@ -207,19 +181,41 @@ def _train_epochs(replicas, dataset, config):
             idx = order[start:start + config.batch_size]
             labels = dataset.labels[idx]
             try:
-                probs = _batch_gradients(replicas, dataset.images[idx], labels)
+                probs, grads = _batch_gradients(net, tapes, dataset.images[idx], labels)
             except NonFiniteError as e:
                 raise DivergenceError(step, e) from e
             loss = K.cross_entropy(probs, labels)
             if not np.isfinite(loss):
                 raise DivergenceError(step, f"non-finite loss {loss}")
-            _sgd_step(net, velocities, config.lr, config.momentum)
+            _sgd_step(net, grads, velocities, config.lr, config.momentum)
             losses.append(loss * len(idx))
             correct += int((probs.argmax(axis=1) == labels).sum())
             step += 1
         report.epochs.append((epoch, sum(losses) / len(dataset),
                               correct / len(dataset)))
     return report
+
+
+def _batch_gradients(net, tapes, x, labels):
+    """The batch's probabilities and the gradients of its mean loss, in
+    ``parameters()`` order. Each sub-batch runs ``loss_and_backward`` on its
+    own tape, its loss gradient divided by the whole n, and the second
+    sub-batch's gradients are added to the first's. If sub-batches fail,
+    the first failing one's error is raised."""
+    n, half = len(x), (len(x) + 1) // 2
+    parts = [(tape, slice(lo, hi)) for tape, lo, hi in zip(tapes, (0, half), (half, n))
+             if lo < hi]
+
+    def run(part):
+        tape, rows = part
+        return net.loss_and_backward(x[rows], labels[rows], n, tape)
+
+    results = netbuilder._map_chunks(run, parts)
+    grads = results[0][1]
+    if len(results) == 2:
+        for g0, g1 in zip(grads, results[1][1]):
+            g0 += g1
+    return np.concatenate([probs for probs, _ in results]), grads
 
 
 def evaluate(net, dataset, batch_size=256):

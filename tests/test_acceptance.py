@@ -305,8 +305,8 @@ def _fd_micro_network(rng, seed):
     def loss():
         return K.cross_entropy(net.forward(x), labels)
 
-    net.loss_and_backward(x, labels)
-    grads = dict(net.gradients())
+    grads = {name: g for (name, _), g in zip(net.parameters(),
+                                             net.loss_and_backward(x, labels)[1])}
     worst = 0.0
     for name, arr in net.parameters():
         picks = rng.choice(arr.size, size=min(3, arr.size), replace=False)

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -301,7 +302,7 @@ class TestLayerProtocol:
         shape = spec.input_shape
         for layer, block in zip(spec.layers, net.blocks):
             shape = layer.out_shape(*shape)
-            x = block.forward(x)
+            x = block.predict(x)
             # fc and softmax give (n, classes): the (classes, 1, 1) map flattened
             assert x.shape == (2, *shape)[:x.ndim] and x.size == 2 * math.prod(shape)
             assert layer.param_count() == sum(a.size for a in block.p.values())
@@ -439,7 +440,7 @@ class TestCompile:
         got = net.forward(x)
         y = x
         for block in net.blocks:
-            y = block.forward(y)
+            y = block.predict(y)
         np.testing.assert_allclose(got, y, atol=0)
 
 
@@ -462,11 +463,11 @@ class TestForwardBackward:
         probs = net.forward(x)
         assert probs.shape == (2, 3)
         res_block = net.blocks[1]
-        y_in = net.blocks[0].forward(x)
-        with_shortcut = res_block.forward(y_in)
+        y_in = net.blocks[0].predict(x)
+        with_shortcut = res_block.predict(y_in)
         body_only = y_in
         for child in res_block.children:
-            body_only = child.forward(body_only)
+            body_only = child.predict(body_only)
         assert with_shortcut.shape == body_only.shape
         assert not np.allclose(with_shortcut, body_only)
 
@@ -484,8 +485,7 @@ class TestForwardBackward:
         def loss():
             return K.cross_entropy(net.forward(x), labels)
 
-        net.loss_and_backward(x, labels)
-        grads = dict(net.gradients())
+        grads = named_grads(net, net.loss_and_backward(x, labels)[1])
         for name, arr in net.parameters():
             flat_idx = r.choice(arr.size, size=min(3, arr.size), replace=False)
             analytic = grads[name].ravel()[flat_idx]
@@ -540,7 +540,7 @@ class TestForwardBackward:
         r = np.random.default_rng(6)
         x, labels = r.random((40, *spec.input_shape)), r.integers(0, 10, 40)
         net = nb.compile_spec(spec, seed=6)
-        assert net.loss_and_backward(x, labels).tobytes() == net.forward(x).tobytes()
+        assert net.loss_and_backward(x, labels)[0].tobytes() == net.forward(x).tobytes()
 
     def test_forward_keeps_no_state(self):
         spec = nb.reference_spec("attendnet-micro-a")
@@ -555,8 +555,7 @@ class TestForwardBackward:
             tracemalloc.stop()
         # numpy's own small-object caches may keep about 1 KiB
         assert left <= 2**16, f"{left} bytes left by forward"
-        assert all(b._cache is None for b in leaf_blocks(net))
-        assert not any(b.grads for b in leaf_blocks(net))
+        assert holds_no_pass_state(net)
 
     def test_forward_caches_only_relu_outputs(self):
         # each conv+ReLU keeps the tensor it returns and no pre-activation:
@@ -568,20 +567,21 @@ class TestForwardBackward:
         # warm up the tap tables and conv specs
         nb.compile_spec(spec).loss_and_backward(x, labels)
         net = nb.compile_spec(spec)
+        tape = []
         tracemalloc.start()
         try:
-            net.loss_and_backward(x, labels)
+            probs, grads = net.loss_and_backward(x, labels, tape=tape)
             left, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert left <= 9 * 2**20, f"{left / 2**20:.2f} MiB left by the training pass"
-        blocks = [c for b in net.blocks for c in getattr(b, "children", [b])]
-        for b in blocks:
+        caches = leaf_caches(net.blocks, tape)
+        for b, cache in caches:
             if b.kind == "conv":
-                assert (b._cache[1] >= 0).all()  # the ReLU output, not `pre`
+                assert (cache[1] >= 0).all()  # the ReLU output, not `pre`
             elif b.kind in ("vac", "pepe"):
-                assert not {"pre", "pres", "e_pre"} & b._cache.keys()
-        assert {"conv", "vac", "pepe"} <= {b.kind for b in blocks}
+                assert not {"pre", "pres", "e_pre"} & cache.keys()
+        assert {"conv", "vac", "pepe"} <= {b.kind for b, _ in caches}
 
     def test_micro_b_forward_keeps_no_gating_map(self):
         # a VAC's cache holds no up-mix input, which backward rebuilds: with
@@ -593,9 +593,10 @@ class TestForwardBackward:
         # warm up the tap tables and conv specs
         nb.compile_spec(spec).loss_and_backward(x, labels)
         net = nb.compile_spec(spec)
+        tape = []
         tracemalloc.start()
         try:
-            net.loss_and_backward(x, labels)
+            probs, grads = net.loss_and_backward(x, labels, tape=tape)
             left, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -619,15 +620,18 @@ def test_first_block_skips_input_gradient_keeping_parameter_grads(first):
     net = nb.compile_spec(nb.parse_dsl(text), seed=2)
     r = np.random.default_rng(2)
     x, labels = r.random((5, 3, 8, 8)), r.integers(0, 4, 5)
-    probs = net.loss_and_backward(x, labels)
-    got = dict(net.gradients())
+    tape = []
+    probs, got = net.loss_and_backward(x, labels, tape=tape)
+    got = named_grads(net, got)
     grad = K.softmax_xent_backward(probs, labels)
-    for b in reversed(net.blocks[1:-1]):
-        grad = b.backward(grad)
+    grads = [None] * (len(net.blocks) - 1)
+    for i in range(len(net.blocks) - 2, 0, -1):
+        grad, grads[i] = net.blocks[i].backward(grad, tape[i])
     first_block = net.blocks[0]
-    assert first_block.backward(grad, input_grad=False) is None
-    assert first_block.backward(grad).shape == x.shape
-    want = dict(net.gradients())
+    assert first_block.backward(grad, tape[0], input_grad=False)[0] is None
+    grad, grads[0] = first_block.backward(grad, tape[0])
+    assert grad.shape == x.shape
+    want = named_grads(net, [g for block_grads in grads for g in block_grads])
     assert got.keys() == want.keys()
     for name, g in got.items():
         assert g.tobytes() == want[name].tobytes(), name
@@ -635,6 +639,84 @@ def test_first_block_skips_input_gradient_keeping_parameter_grads(first):
 
 def leaf_blocks(net):
     return [c for b in net.blocks for c in getattr(b, "children", [b])]
+
+
+def leaf_caches(blocks, tape):
+    """(leaf block, cache) pairs of a training pass's tape, whose residual
+    group slots are nested tapes."""
+    pairs = []
+    for b, slot in zip(blocks, tape):
+        pairs += leaf_caches(b.children, slot) if b.kind == "res" else [(b, slot)]
+    return pairs
+
+
+def named_grads(net, grads):
+    """{parameter name: gradient} of ``loss_and_backward``'s gradient list."""
+    return {name: g for (name, _), g in zip(net.parameters(), grads)}
+
+
+def holds_no_pass_state(net):
+    """Every leaf block holds only its layer, kind and parameters."""
+    return all(vars(b).keys() == {"layer", "kind", "p"} for b in leaf_blocks(net))
+
+
+def tape_arrays(obj):
+    """Every array a tape holds, through its lists, tuples and dicts."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    items = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, (list, tuple)) else ()
+    return [a for item in items for a in tape_arrays(item)]
+
+
+class TestTape:
+    """The training pass writes its caches to the caller's tape and returns
+    its gradients; the network keeps nothing of it."""
+
+    @pytest.mark.parametrize("name", sorted(nb.REFERENCE_SPECS))
+    def test_threads_share_one_network_each_on_its_own_tape(self, name):
+        spec = nb.reference_spec(name)
+        r = np.random.default_rng(7)
+        batches = [(r.random((16, *spec.input_shape)), r.integers(0, 10, 16)) for _ in range(2)]
+        net = nb.compile_spec(spec, seed=7)
+        serial = [net.loss_and_backward(x, labels) for x, labels in batches]
+        start, results = threading.Barrier(2), [[], []]
+
+        def run(i):
+            tape = []
+            start.wait()
+            for _ in range(3):
+                results[i].append(net.loss_and_backward(*batches[i], tape=tape))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        for passes, (want_probs, want_grads) in zip(results, serial):
+            assert len(passes) == 3
+            for probs, grads in passes:
+                assert probs.tobytes() == want_probs.tobytes()
+                assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
+
+    @pytest.mark.parametrize("name", sorted(nb.REFERENCE_SPECS))
+    def test_kept_tape_frees_each_old_cache_and_keeps_the_bits(self, name):
+        spec = nb.reference_spec(name)
+        r = np.random.default_rng(8)
+        net = nb.compile_spec(spec, seed=8)
+        tape = []
+        net.loss_and_backward(r.random((4, *spec.input_shape)), r.integers(0, 10, 4),
+                              tape=tape)
+        old = [weakref.ref(a) for a in tape_arrays(tape)]
+        nested = [slot for slot in tape if isinstance(slot, list)]
+        x, labels = r.random((4, *spec.input_shape)), r.integers(0, 10, 4)
+        probs, grads = net.loss_and_backward(x, labels, tape=tape)
+        assert old and all(ref() is None for ref in old)
+        # a residual group's nested tape is refilled in place
+        assert nested and all(any(a is slot for slot in tape) for a in nested)
+        want_probs, want_grads = net.loss_and_backward(x, labels)
+        assert probs.tobytes() == want_probs.tobytes()
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
+        assert holds_no_pass_state(net)
 
 
 def assert_batch_invariant(net, n):
@@ -664,15 +746,17 @@ class TestPredict:
         # neither inference pass touches the training pass's caches or grads
         net = nb.compile_spec(nb.parse_dsl(RES), seed=5)
         r = np.random.default_rng(5)
-        net.loss_and_backward(r.random((3, 2, 8, 8)), np.array([0, 2, 1]))
-        blocks = leaf_blocks(net)
-        caches, grads = [b._cache for b in blocks], dict(net.gradients())
+        tape = []
+        _, grads = net.loss_and_backward(r.random((3, 2, 8, 8)), np.array([0, 2, 1]),
+                                         tape=tape)
+        caches, grad_bytes = leaf_caches(net.blocks, tape), [g.tobytes() for g in grads]
         for run in (net.forward, net.predict):
             got = run(r.random((4, 2, 8, 8)))
             assert got.dtype == np.float64 and got.shape == (4, 3)
             np.testing.assert_allclose(got.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-            assert all(b._cache is c for b, c in zip(blocks, caches))
-            assert all(a is b for (_, a), b in zip(net.gradients(), grads.values()))
+            assert all(a is c for (_, a), (_, c) in zip(leaf_caches(net.blocks, tape), caches))
+            assert [g.tobytes() for g in grads] == grad_bytes
+            assert holds_no_pass_state(net)
 
     def test_every_block_pass_sees_float32(self, monkeypatch):
         seen = []

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from test_netbuilder import use_threads
+from test_netbuilder import holds_no_pass_state, named_grads, use_threads
 from vacnet import kernels as K
 from vacnet import netbuilder as nb
 from vacnet import trainer
@@ -197,17 +197,17 @@ class TestTrain:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("diverge", [False, True])
     def test_returns_network_without_forward_state(self, diverge, threads, monkeypatch):
-        # the last step's caches belong to weights that step has since moved,
-        # in the network and in the replica that ran each step's second half
+        # the last step's caches belong to weights that step has since moved:
+        # they stay in train's two tapes, one per sub-batch, kept for the run
         use_threads(monkeypatch, threads)
-        replicas = []
-        make_replica = nb.Network.replica
+        tapes = set()
+        training_pass = nb.Network.loss_and_backward
 
-        def recorded(net):
-            replicas.append(make_replica(net))
-            return replicas[-1]
+        def recorded(net, x, labels, batch=None, tape=None):
+            tapes.add(id(tape))
+            return training_pass(net, x, labels, batch, tape)
 
-        monkeypatch.setattr(nb.Network, "replica", recorded)
+        monkeypatch.setattr(nb.Network, "loss_and_backward", recorded)
         net = nb.compile_spec(nb.parse_dsl("input 1 4 4\nconv k1 c4\nres{\nconv k1 c4\n}res\n"
                                            "vac dm2 e1:2 e2:2 um4\ngap\nfc 2\nsoftmax\n"),
                               seed=0)
@@ -218,14 +218,10 @@ class TestTrain:
                 train(net, ds, TrainConfig(batch_size=4))
         else:
             train(net, ds, TrainConfig(batch_size=4))
-        assert len(replicas) == 1
-        for n in (net, *replicas):
-            blocks = [c for b in n.blocks for c in getattr(b, "children", [b])]
-            assert len(blocks) == 6
-            assert all(b._cache is None for b in blocks)
-        # the replica's blocks hold the network's parameter arrays, not copies
-        assert all(a is b for (_, a), (_, b) in zip(net.parameters(),
-                                                     replicas[0].parameters()))
+        assert len(tapes) == 2 and id(None) not in tapes
+        blocks = [c for b in net.blocks for c in getattr(b, "children", [b])]
+        assert len(blocks) == 6
+        assert holds_no_pass_state(net)
 
     def test_empty_dataset_raises_config_error(self):
         net = nb.compile_spec(nb.parse_dsl(FC_ONLY), seed=0)
@@ -278,10 +274,10 @@ class TestSubBatches:
         threads = set()
         training_pass = nb.Network.loss_and_backward
 
-        def recorded(net, x, labels, batch=None):
+        def recorded(net, x, labels, batch=None, tape=None):
             threads.add(threading.get_ident())
             time.sleep(0.02)  # keeps this thread busy while the other one claims
-            return training_pass(net, x, labels, batch)
+            return training_pass(net, x, labels, batch, tape)
 
         monkeypatch.setattr(nb.Network, "loss_and_backward", recorded)
         net = nb.compile_spec(nb.parse_dsl(FC_ONLY), seed=0)
@@ -294,15 +290,15 @@ class TestSubBatches:
         r = np.random.default_rng(0)
         x, labels = r.random((32, *spec.input_shape)), r.integers(0, 10, 32)
         whole = nb.compile_spec(spec, seed=1)
-        probs = whole.loss_and_backward(x, labels)
+        probs, whole_grads = whole.loss_and_backward(x, labels)
         split = nb.compile_spec(spec, seed=1)
-        split_probs = trainer._batch_gradients([split, split.replica()], x, labels)
+        split_probs, split_grads = trainer._batch_gradients(split, [None, None], x, labels)
         # float64 forward is batch-invariant, so the loss keeps its bits
         assert split_probs.tobytes() == probs.tobytes()
         # each gradient is the same sum of per-image terms, rounded in another
         # order: within 16 float64 ulps of the gradient's largest entry (the
         # reference specs' worst entry is off by 3.6)
-        for (key, g), (_, want) in zip(split.gradients(), whole.gradients()):
+        for (key, g), want in zip(named_grads(split, split_grads).items(), whole_grads):
             bound = 16 * np.finfo(np.float64).eps * max(np.abs(want).max(), 1e-300)
             assert np.abs(g - want).max() <= bound, key
 
@@ -313,7 +309,7 @@ class TestSubBatches:
         ds = Dataset(r.random((32, *spec.input_shape)), r.integers(0, 10, 32))
         whole = nb.compile_spec(spec, seed=1)
         order = np.random.Generator(np.random.PCG64(3)).permutation(32)
-        loss = K.cross_entropy(whole.loss_and_backward(ds.images[order], ds.labels[order]),
+        loss = K.cross_entropy(whole.loss_and_backward(ds.images[order], ds.labels[order])[0],
                                ds.labels[order])
         report = train(nb.compile_spec(spec, seed=1), ds,
                        TrainConfig(lr=0.02, batch_size=32, seed=3))
@@ -368,7 +364,7 @@ class TestEvaluate:
     def test_runs_cache_free_predict(self):
         net = nb.compile_spec(nb.parse_dsl(FC_ONLY), seed=3)
         evaluate(net, toy_dataset(n=25, seed=2))
-        assert all(b._cache is None for b in net.blocks)
+        assert holds_no_pass_state(net)
 
     def test_empty_rejected(self):
         net = nb.compile_spec(nb.parse_dsl(FC_ONLY), seed=0)
